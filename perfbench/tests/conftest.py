@@ -1,0 +1,11 @@
+"""Puts the repository root (for ``perfbench``) and ``src`` (for
+``subharnack``) on ``sys.path``, so that ``python -m pytest perfbench/tests``
+works from the root without an install."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
