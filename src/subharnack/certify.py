@@ -22,12 +22,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import bernstein as bn
-from .parallel import CHUNK_SIZE, map_index_chunks
+from .coupling import clock_decay
+from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RngStream, TimeGrid, sample_subordinator_increments
-from .sde import SdeModel
+from .sde import SdeModel, terminal_states
 from .stats import MCEstimate, variance_estimate
 
 __all__ = [
@@ -170,22 +170,16 @@ class RateConstantResult:
 
 def _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, workers):
     """Per-path Stieltjes sums int_0^t exp(-2K) dS at the requested times."""
-    k_vals = np.asarray([model.k_bound(t) for t in sim_times], dtype=float)
-    k_cum = cumulative_trapezoid(k_vals, sim_times, initial=0.0)
+    k_cum, _, _ = clock_decay(model.k_bound, sim_times)
     weights = np.exp(-2.0 * k_cum[:-1])
     durations = np.diff(sim_times)
-    out = np.empty((n_paths, t_idx.size))
 
-    def run_chunk(chunk_index, start, stop):
-        gen = stream.child(replicate=chunk_index).generator()
-        inc = sample_subordinator_increments(
-            clock_law.bernstein, durations, gen, stop - start
-        )
+    def run_chunk(gen, count):
+        inc = sample_subordinator_increments(clock_law.bernstein, durations, gen, count)
         partial = np.cumsum(weights * inc, axis=1)
-        out[start:stop] = partial[:, t_idx - 1]
+        return partial[:, t_idx - 1]
 
-    map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
-    return out
+    return map_path_chunks(n_paths, stream, run_chunk, workers)
 
 
 def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=None, n_paths=10_000, stream: RngStream = None, workers=1, resolution=256) -> RateConstantResult:
@@ -307,13 +301,13 @@ def log_harnack_certificate(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     grid = grid or TimeGrid.uniform(horizon, 500)
     dist_sq = float(np.sum((x - y) ** 2))
 
-    finals_y = model.terminal_states(y, grid, clock_law, n_paths, stream.child(purpose="log-lhs"), workers=workers, method=method)
+    finals_y = terminal_states(model, y, grid, clock_law, n_paths, stream.child(purpose="log-lhs"), workers=workers, method=method)
     f_y = np.asarray(f(finals_y), dtype=float)
     if np.any(f_y <= 0.0):
         raise ValueError("log-Harnack needs strictly positive f; found f <= 0 on a sample")
     lhs = MCEstimate.from_samples(np.log(f_y))
 
-    finals_x = model.terminal_states(x, grid, clock_law, n_paths, stream.child(purpose="log-rhs"), workers=workers, method=method)
+    finals_x = terminal_states(model, x, grid, clock_law, n_paths, stream.child(purpose="log-rhs"), workers=workers, method=method)
     f_x = np.asarray(f(finals_x), dtype=float)
     if np.any(f_x <= 0.0):
         raise ValueError("log-Harnack needs strictly positive f; found f <= 0 on a sample")
@@ -358,10 +352,10 @@ def power_harnack_certificate(f, p, x, y, horizon, model: SdeModel, clock_law: C
     grid = grid or TimeGrid.uniform(horizon, 500)
     dist_sq = float(np.sum((x - y) ** 2))
 
-    finals_y = model.terminal_states(y, grid, clock_law, n_paths, stream.child(purpose="pow-lhs"), workers=workers, method=method)
+    finals_y = terminal_states(model, y, grid, clock_law, n_paths, stream.child(purpose="pow-lhs"), workers=workers, method=method)
     lhs = MCEstimate.from_samples(np.asarray(f(finals_y), dtype=float)).power(p)
 
-    finals_x = model.terminal_states(x, grid, clock_law, n_paths, stream.child(purpose="pow-rhs"), workers=workers, method=method)
+    finals_x = terminal_states(model, x, grid, clock_law, n_paths, stream.child(purpose="pow-rhs"), workers=workers, method=method)
     moment = MCEstimate.from_samples(np.asarray(f(finals_x), dtype=float) ** p)
 
     factor, infinite_fraction = power_infimum_factor(
@@ -422,14 +416,14 @@ def gradient_certificate(f, x, horizon, model: SdeModel, clock_law: ClockLaw, n_
     for j in range(model.dim):
         offset = np.zeros(model.dim)
         offset[j] = fd_step
-        plus = np.asarray(f(model.terminal_states(x + offset, grid, clock_law, n_paths, noise_stream, workers=workers, method=method)), dtype=float)
-        minus = np.asarray(f(model.terminal_states(x - offset, grid, clock_law, n_paths, noise_stream, workers=workers, method=method)), dtype=float)
+        plus = np.asarray(f(terminal_states(model, x + offset, grid, clock_law, n_paths, noise_stream, workers=workers, method=method)), dtype=float)
+        minus = np.asarray(f(terminal_states(model, x - offset, grid, clock_law, n_paths, noise_stream, workers=workers, method=method)), dtype=float)
         derivative_estimates.append(MCEstimate.from_samples((plus - minus) / (2.0 * fd_step)))
     j_max = int(np.argmax([abs(e.mean) for e in derivative_estimates]))
     best = derivative_estimates[j_max]
     lhs = best.power(2.0)
 
-    center = np.asarray(f(model.terminal_states(x, grid, clock_law, n_paths, stream.child(purpose="grad-var"), workers=workers, method=method)), dtype=float)
+    center = np.asarray(f(terminal_states(model, x, grid, clock_law, n_paths, stream.child(purpose="grad-var"), workers=workers, method=method)), dtype=float)
     var = variance_estimate(center)
     rate = harnack_rate_constant(
         model, clock_law, horizon, t_grid=t_grid, n_paths=max(1000, n_paths // 10),
@@ -482,8 +476,8 @@ def coupling_property_bound(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     lam_max = max(model.lambda_bound(t) for t in grid.times)
 
     common = stream.child(purpose="couple-bound")
-    f_x = np.asarray(f(model.terminal_states(x, grid, clock_law, n_paths, common, workers=workers, method=method)), dtype=float)
-    f_y = np.asarray(f(model.terminal_states(y, grid, clock_law, n_paths, common, workers=workers, method=method)), dtype=float)
+    f_x = np.asarray(f(terminal_states(model, x, grid, clock_law, n_paths, common, workers=workers, method=method)), dtype=float)
+    f_y = np.asarray(f(terminal_states(model, y, grid, clock_law, n_paths, common, workers=workers, method=method)), dtype=float)
     if np.any(f_x < 0) or np.any(f_y < 0):
         raise ValueError("coupling property bound needs nonnegative f")
     paired = MCEstimate.from_samples(f_x - f_y)
@@ -570,14 +564,11 @@ def stable_rate_check(theta, model: SdeModel, T_grid, n_paths, stream: RngStream
     stderrs = np.empty(T_grid.size)
     for i, horizon in enumerate(T_grid):
         durations = np.full(8, horizon / 8.0)
-        totals = np.empty(n_paths)
 
-        def run_chunk(chunk_index, start, stop, _durations=durations, _totals=totals, _i=i):
-            gen = stream.child(replicate=chunk_index, purpose=f"rate-T{_i}").generator()
-            inc = sample_subordinator_increments(clock, _durations, gen, stop - start)
-            _totals[start:stop] = inc.sum(axis=1)
+        def run_chunk(gen, count, _durations=durations):
+            return sample_subordinator_increments(clock, _durations, gen, count).sum(axis=1)
 
-        map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
+        totals = map_path_chunks(n_paths, stream.child(purpose=f"rate-T{i}"), run_chunk, workers)
         est = MCEstimate.from_samples(1.0 / totals)
         means[i] = est.mean
         stderrs[i] = est.stderr

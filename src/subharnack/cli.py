@@ -29,7 +29,7 @@ from . import bernstein as bn
 from . import certify, coupling, galerkin, sde
 from .observables import OBSERVABLE_NAMES, get_observable
 from .parallel import worker_count_from_env
-from .pathgen import ClockLaw, RngStream, SubordinatorPath, TimeGrid, sample_timechanged_bm
+from .pathgen import ClockLaw, RejectionError, RngStream, SubordinatorPath, TimeGrid, sample_timechanged_bm
 from .selftest import run_selftest
 
 __all__ = ["main", "run_config", "validate_config", "CONFIG_SCHEMA"]
@@ -256,7 +256,10 @@ def _model(config) -> sde.SdeModel:
         perturbation = sde.PerturbationModel.from_function(
             lambda t, _v=velocity: _v * t, dim
         )
-    return sde.make_model(name, dim=dim, sigma_scale=sigma_scale, perturbation=perturbation, **cfg)
+    try:
+        return sde.make_model(name, dim=dim, sigma_scale=sigma_scale, perturbation=perturbation, **cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _observable(config, dim):
@@ -542,6 +545,7 @@ def run_config(config: dict, workers=None, base_dir=".") -> int:
     except (
         sde.IntegrationError,
         bn.QuadratureError,
+        RejectionError,
         FloatingPointError,
         ValueError,
     ) as exc:

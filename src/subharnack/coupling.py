@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .parallel import CHUNK_SIZE, map_index_chunks
+from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RegularizedClock, RngStream, TimeGrid, bm_increments
-from .sde import IntegrationError, SdeModel, Trajectory
+from .sde import IntegrationError, SdeModel, Trajectory, plain_chunk
 from .stats import MCEstimate
 
 __all__ = [
@@ -46,6 +46,26 @@ __all__ = [
 ]
 
 
+def clock_decay(k_bound, times, d_clock=None):
+    """Accumulated bound k_cum = int_0^t K, its decay exp(-k_cum), and the
+    per-path Stieltjes denominator.
+
+    k_cum is the cumulative trapezoid of K at the grid times.  Given clock
+    increments d_clock (shape (..., M)), the denominator is the left-point
+    Stieltjes sum of exp(-2 k_cum) against the clock over the full horizon;
+    it is None without them.
+    """
+    k_vals = np.asarray([k_bound(t) for t in times], dtype=float)
+    k_cum = cumulative_trapezoid(k_vals, times, initial=0.0)
+    decay = np.exp(-k_cum)
+    if d_clock is None:
+        return k_cum, decay, None
+    denominator = np.sum(decay[:-1] ** 2 * d_clock, axis=-1)
+    if np.any(denominator <= 0):
+        raise ValueError("degenerate clock: zero Stieltjes mass over the horizon")
+    return k_cum, decay, denominator
+
+
 def xi_profile(initial_distance, k_bound, grid: TimeGrid, clock_values):
     """Coupling drift rate at the left grid points, plus the cached denominator.
 
@@ -53,17 +73,11 @@ def xi_profile(initial_distance, k_bound, grid: TimeGrid, clock_values):
     trapezoid of K); the denominator is the left-point Stieltjes sum of
     exp(-2 int K) against the clock over the full horizon.
     """
-    times = grid.times
-    k_vals = np.asarray([k_bound(t) for t in times], dtype=float)
-    k_cum = cumulative_trapezoid(k_vals, times, initial=0.0)
-    decay = np.exp(-k_cum)
     clock_values = np.asarray(clock_values, dtype=float)
     d_clock = np.diff(clock_values, axis=-1)
     if np.any(d_clock <= 0):
         raise ValueError("coupling requires a strictly increasing clock")
-    denominator = np.sum(decay[:-1] ** 2 * d_clock, axis=-1)
-    if np.any(denominator <= 0):
-        raise ValueError("degenerate clock: zero Stieltjes mass over the horizon")
+    _, decay, denominator = clock_decay(k_bound, grid.times, d_clock)
     profile = initial_distance * decay[:-1] / np.expand_dims(denominator, -1) if np.ndim(denominator) else initial_distance * decay[:-1] / denominator
     return profile, denominator
 
@@ -109,10 +123,14 @@ class CouplingConfig:
         return self.clock.grid.horizon
 
     def threshold(self) -> float:
-        if self.delta_couple is not None:
-            return self.delta_couple
-        dist0 = float(np.linalg.norm(self.x - self.y))
-        return 1e-6 * dist0 if dist0 > 0 else 1e-12
+        return _threshold(self.x, self.y, self.delta_couple)
+
+
+def _threshold(x, y, delta_couple):
+    if delta_couple is not None:
+        return delta_couple
+    dist0 = float(np.linalg.norm(x - y))
+    return 1e-6 * dist0 if dist0 > 0 else 1e-12
 
 
 @dataclass(frozen=True)
@@ -152,12 +170,7 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
     dim = model.dim
 
     dist0 = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    k_vals = np.asarray([model.drift.one_sided_bound(t) for t in times], dtype=float)
-    k_cum = cumulative_trapezoid(k_vals, times, initial=0.0)
-    decay = np.exp(-k_cum)
-    denominator = np.sum(decay[:-1] ** 2 * d_clock, axis=1)  # (n,)
-    if np.any(denominator <= 0):
-        raise ValueError("degenerate clock: zero Stieltjes mass over the horizon")
+    _, decay, denominator = clock_decay(model.k_bound, times, d_clock)  # denominator (n,)
 
     dv_steps = np.diff(model.perturbation.values_on(grid), axis=0)
     X = np.broadcast_to(np.asarray(x, dtype=float), (n, dim)).copy()
@@ -172,8 +185,6 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
         tau_idx[:] = 0
     hist_x = [X.copy()] if keep_path else None
     hist_y = [Y.copy()] if keep_path else None
-
-    from .sde import _implicit_drift_map
 
     for i in range(n_steps):
         t, hi = times[i], h[i]
@@ -190,12 +201,8 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
 
         # states after the drift step but before the common noise; the
         # clipping distance is measurable without peeking at the increment
-        if method == "euler":
-            x_drifted = X + np.asarray(model.drift.func(t, X), dtype=float) * hi
-            y_drifted = Y + np.asarray(model.drift.func(t, Y), dtype=float) * hi
-        else:
-            x_drifted = _implicit_drift_map(model, t, hi, X)
-            y_drifted = _implicit_drift_map(model, t, hi, Y)
+        x_drifted = model.drift_step(t, hi, X, method)
+        y_drifted = model.drift_step(t, hi, Y, method)
 
         xi_i = dist0 * decay[i] / denominator  # (n,)
         drift_gap = x_drifted - y_drifted
@@ -211,7 +218,6 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
 
         X = x_drifted + noise + dv
         Y = y_drifted + noise + dv + magnitude[:, None] * unit
-        Y[coupled] = X[coupled]
         gap = X - Y
         new_dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
         just_coupled = active & (new_dist <= delta)
@@ -338,65 +344,24 @@ def run_coupled_batch(model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw
     """Simulate independent coupled pairs under freshly drawn coupling clocks."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    dist0 = float(np.linalg.norm(x - y))
-    delta = delta_couple if delta_couple is not None else (1e-6 * dist0 if dist0 > 0 else 1e-12)
+    delta = _threshold(x, y, delta_couple)
 
-    log_weights = np.empty(n_paths)
-    tau_indices = np.empty(n_paths, dtype=np.int64)
-    x_terminal = np.empty((n_paths, model.dim))
-    y_terminal = np.empty((n_paths, model.dim))
-    eta_sq = np.empty(n_paths)
-    denominators = np.empty(n_paths)
-
-    def run_chunk(chunk_index, start, stop):
-        gen = stream.child(replicate=chunk_index).generator()
-        count = stop - start
+    def run_chunk(gen, count):
         clock = clock_law.sample_coupling(grid, gen, count)
         d_clock = np.diff(clock, axis=1)
-        normals = gen.standard_normal((count, grid.n_steps, model.dim))
-        dw = normals * np.sqrt(d_clock)[:, :, None]
-        res = _coupled_core(model, x, y, grid, d_clock, dw, delta, method=method)
-        log_weights[start:stop] = res["log_weight"]
-        tau_indices[start:stop] = res["tau_index"]
-        x_terminal[start:stop] = res["x_terminal"]
-        y_terminal[start:stop] = res["y_terminal"]
-        eta_sq[start:stop] = res["eta_sq"]
-        denominators[start:stop] = res["denominator"]
+        dw = bm_increments(clock, model.dim, gen)
+        return _coupled_core(model, x, y, grid, d_clock, dw, delta, method=method)
 
-    map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
+    res = map_path_chunks(n_paths, stream, run_chunk, workers)
     return CoupledBatch(
         grid=grid,
-        log_weights=log_weights,
-        tau_indices=tau_indices,
-        x_terminal=x_terminal,
-        y_terminal=y_terminal,
-        eta_sq=eta_sq,
-        denominators=denominators,
+        log_weights=res["log_weight"],
+        tau_indices=res["tau_index"],
+        x_terminal=res["x_terminal"],
+        y_terminal=res["y_terminal"],
+        eta_sq=res["eta_sq"],
+        denominators=res["denominator"],
     )
-
-
-def coupling_clock_terminals(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler"):
-    """Terminal states of the plain (uncoupled) dynamics under coupling clocks.
-
-    Used as the direct side of the transfer identity so that both estimators
-    integrate against the same clock law.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    out = np.empty((n_paths, model.dim))
-
-    def run_chunk(chunk_index, start, stop):
-        gen = stream.child(replicate=chunk_index).generator()
-        count = stop - start
-        clock = clock_law.sample_coupling(grid, gen, count)
-        dw = bm_increments(clock, model.dim, gen)
-        from .sde import euler_steps
-
-        out[start:stop] = euler_steps(
-            model, np.broadcast_to(x0, (count, model.dim)), grid, dw, method=method
-        )
-
-    map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
-    return out
 
 
 def harnack_transfer_check(f, model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, delta_couple=None, workers=1, method="euler"):
@@ -404,8 +369,9 @@ def harnack_transfer_check(f, model: SdeModel, x, y, grid: TimeGrid, clock_law: 
 
     Estimator A reweights coupled paths started at (x, y) by R; estimator B
     integrates the dynamics started at y directly with independent noise.
-    Both draw clocks from the same law, so their difference is pure Monte
-    Carlo error plus one-step discretization effects.
+    Both draw clocks from the same law (the coupling clock), so their
+    difference is pure Monte Carlo error plus one-step discretization
+    effects.
     """
     if n_paths < 1000:
         raise ValueError("transfer check needs at least 1000 paths")
@@ -416,9 +382,9 @@ def harnack_transfer_check(f, model: SdeModel, x, y, grid: TimeGrid, clock_law: 
     )
     weighted = batch.weights() * np.asarray(f(batch.x_terminal), dtype=float)
     estimate_a = MCEstimate.from_samples(weighted)
-    direct = coupling_clock_terminals(
-        model, y, grid, clock_law, n_paths,
-        stream.child(purpose=stream.purpose + "-direct"), workers=workers, method=method,
+    direct = map_path_chunks(
+        n_paths, stream.child(purpose=stream.purpose + "-direct"),
+        plain_chunk(model, y, grid, clock_law.sample_coupling, method), workers,
     )
     estimate_b = MCEstimate.from_samples(np.asarray(f(direct), dtype=float))
     return estimate_a, estimate_b

@@ -12,35 +12,32 @@ mode exponentially between steps.  The exponential-Euler scheme
 stays stable for stiff high modes without shrinking the step.  The diagonal
 restriction on sigma keeps the inverse bound explicit; non-diagonal
 operators are rejected as unsupported.
+
+``SemilinearModel`` implements the drift-step interface of ``sde``: its
+``drift_step`` is the exponential-Euler map above and its ``diffusion``
+applies the diagonal sigma element-wise.  The plain stepper
+``sde.euler_steps``, ``sde.terminal_states`` and the coupling in
+``coupling`` therefore run on the truncation directly, with the same
+exponential-Euler step on both sides of every transfer identity.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import HarnackReport, harnack_rate_constant, log_harnack_certificate
-from .parallel import CHUNK_SIZE, map_index_chunks
-from .pathgen import ClockLaw, RngStream, SubordinatorPath, TimeGrid, bm_increments
-from .sde import (
-    DiffusionModel,
-    DriftModel,
-    IntegrationError,
-    PerturbationModel,
-    SdeModel,
-    Trajectory,
-)
+from .certify import harnack_rate_constant, log_harnack_certificate
+from .pathgen import ClockLaw, RngStream, SubordinatorPath, TimeGrid, sample_timechanged_bm
+from .sde import DiffusionModel, PerturbationModel, Trajectory, integrate
 
 __all__ = [
     "SpectrumModel",
     "SemilinearModel",
     "stochastic_convolution",
     "integrate_mild",
-    "as_sde_model",
     "DimensionFreeResult",
     "dimension_free_check",
 ]
@@ -111,6 +108,7 @@ class SemilinearModel:
     perturbation: PerturbationModel | None = None
     label: str = "semilinear"
     params: dict = field(default_factory=dict)
+    diffusion: DiffusionModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma_diag, dtype=float)
@@ -126,6 +124,7 @@ class SemilinearModel:
         if np.any(sigma == 0):
             raise ValueError("sigma must be invertible: no zero diagonal entries")
         object.__setattr__(self, "sigma_diag", sigma)
+        object.__setattr__(self, "diffusion", DiffusionModel.diagonal(sigma))
         if self.perturbation is None:
             object.__setattr__(self, "perturbation", PerturbationModel.zero(self.spectrum.n_modes))
 
@@ -138,56 +137,21 @@ class SemilinearModel:
         return self.force_lipschitz(t) - float(self.spectrum.eigenvalues[0])
 
     def lambda_bound(self, t):
-        return float(np.max(1.0 / np.abs(self.sigma_diag)))
+        return self.diffusion.inverse_norm_bound(t)
 
-    def terminal_states(self, x0, grid, clock_law, n_paths, stream, workers=1, method="euler"):
-        # the exponential-Euler scheme handles its own stiffness; the
-        # method switch of the plain integrator does not apply here
+    def drift_step(self, t, h, states, method="euler"):
+        """Exponential-Euler drift e^{-rho h} x + phi(rho h) h F(t, x).
+
+        The scheme handles its own stiffness, so ``method`` does not apply.
+        """
         del method
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        out = np.empty((n_paths, self.dim))
-
-        def run_chunk(chunk_index, start, stop):
-            gen = stream.child(replicate=chunk_index).generator()
-            count = stop - start
-            clock = clock_law.sample_raw(grid, gen, count)
-            db = bm_increments(clock, self.dim, gen)
-            x0s = np.broadcast_to(x0, (count, self.dim))
-            out[start:stop] = mild_steps(self, x0s, grid, db)
-
-        map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
-        return out
-
-
-def mild_steps(model: SemilinearModel, x0s, grid: TimeGrid, db, keep_path=False):
-    """Exponential-Euler steps for a batch; db has shape (n, M, n_modes)."""
-    rho = model.spectrum.eigenvalues
-    times = grid.times
-    steps = grid.step_sizes
-    states = np.array(x0s, dtype=float)
-    v_values = model.perturbation.values_on(grid)
-    history = [states.copy()] if keep_path else None
-    for i in range(grid.n_steps):
-        t, h = times[i], steps[i]
-        damp = np.exp(-rho * h)
-        drift = _phi(rho * h) * h * np.asarray(model.force(t, states), dtype=float)
-        dv = v_values[i + 1] - v_values[i]
-        states = damp * states + drift + model.sigma_diag * db[:, i, :] + dv
-        if not np.all(np.isfinite(states)):
-            bad = int((~np.all(np.isfinite(states), axis=-1)).sum())
-            raise IntegrationError(step_index=i, n_failed=bad)
-        if keep_path:
-            history.append(states.copy())
-    if keep_path:
-        return np.stack(history, axis=1)
-    return states
+        rho = self.spectrum.eigenvalues
+        forcing = _phi(rho * h) * h * np.asarray(self.force(t, states), dtype=float)
+        return np.exp(-rho * h) * states + forcing
 
 
 def stochastic_convolution(spectrum: SpectrumModel, sigma_diag, clock: SubordinatorPath, grid: TimeGrid = None, rng=None) -> Trajectory:
     """One path of int_0^t e^{(t-s)A} sigma dW_{S(s)} by exponentially damped sums."""
-    grid = grid or clock.grid
-    if not np.array_equal(grid.times, clock.grid.times):
-        raise ValueError("clock and grid are not aligned")
     model = SemilinearModel(
         spectrum=spectrum,
         force=lambda t, x: np.zeros_like(x),
@@ -195,50 +159,12 @@ def stochastic_convolution(spectrum: SpectrumModel, sigma_diag, clock: Subordina
         sigma_diag=sigma_diag,
         label="convolution",
     )
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    db = bm_increments(clock.values, spectrum.n_modes, gen)
-    path = mild_steps(model, np.zeros((1, spectrum.n_modes)), grid, db[None, :, :], keep_path=True)
-    return Trajectory(grid=grid, states=path[0])
+    return integrate_mild(np.zeros(spectrum.n_modes), model, clock, grid=grid, rng=rng)
 
 
 def integrate_mild(x0, model: SemilinearModel, clock: SubordinatorPath, grid: TimeGrid = None, rng=None) -> Trajectory:
     """One mild-solution path driven by a sampled subordinator clock."""
-    grid = grid or clock.grid
-    if not np.array_equal(grid.times, clock.grid.times):
-        raise ValueError("clock and grid are not aligned")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != model.dim:
-        raise ValueError("initial condition does not match the mode count")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    db = bm_increments(clock.values, model.dim, gen)
-    path = mild_steps(model, x0[None, :], grid, db[None, :, :], keep_path=True)
-    return Trajectory(grid=grid, states=path[0])
-
-
-def as_sde_model(model: SemilinearModel) -> SdeModel:
-    """View the truncated system as a plain SDE so the coupling runs unchanged."""
-    rho = model.spectrum.eigenvalues
-    sigma = model.sigma_diag
-
-    def drift(t, x):
-        return -rho * x + np.asarray(model.force(t, x), dtype=float)
-
-    diffusion = (
-        DiffusionModel.isotropic(float(sigma[0]))
-        if np.all(sigma == sigma[0])
-        else DiffusionModel.constant(np.diag(sigma))
-    )
-    return SdeModel(
-        dim=model.dim,
-        drift=DriftModel(
-            func=drift,
-            one_sided_bound=lambda t: model.force_lipschitz(t) - float(rho[0]),
-        ),
-        diffusion=diffusion,
-        perturbation=model.perturbation,
-        label=f"{model.label}-as-sde",
-        params=dict(model.params),
-    )
+    return integrate(x0, model, sample_timechanged_bm(clock, model.dim, rng), grid)
 
 
 def validate_force_lipschitz(model: SemilinearModel, t_points=(0.0, 0.5, 1.0), n_probes=1000, seed=0, tol=1e-10, box=3.0):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 # Fixed chunk size is part of the reproducibility contract: chunk index i
 # seeds stream (master_seed, i) regardless of how chunks map to workers.
 CHUNK_SIZE = 8192
@@ -47,3 +49,24 @@ def map_index_chunks(total, chunk_size, fn, workers=1):
         futures = [pool.submit(fn, *args) for args in ranges]
         for future in futures:
             future.result()
+
+
+def map_path_chunks(n_paths, stream, chunk_fn, workers=1):
+    """Rows of ``chunk_fn(gen, count)`` for n_paths paths in fixed chunks.
+
+    Every chunked path loop runs through here: chunk i draws from the
+    Philox generator of ``stream.child(replicate=i)``, and the rows of every
+    chunk are joined in chunk-index order, so the result does not depend on
+    the worker count.  ``chunk_fn`` returns an array, or a dict of arrays,
+    with ``count`` leading rows.
+    """
+    parts = [None] * -(-n_paths // CHUNK_SIZE)
+
+    def run_chunk(chunk_index, start, stop):
+        gen = stream.child(replicate=chunk_index).generator()
+        parts[chunk_index] = chunk_fn(gen, stop - start)
+
+    map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
+    if isinstance(parts[0], dict):
+        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    return np.concatenate(parts)

@@ -10,6 +10,15 @@ Drifts carry a one-sided Lipschitz bound K_t, diffusions an inverse-norm
 bound lambda_t; both bounds feed the certified inequality constants.  Drift
 and observable callables must accept batched states of shape (..., d) so
 that Monte Carlo replication stays vectorized.
+
+Drift-step interface.  A model is anything with ``dim``, ``perturbation``,
+``diffusion`` (``apply`` and ``apply_inverse``), ``k_bound(t)``,
+``lambda_bound(t)`` and ``drift_step(t, h, states, method)``, which maps
+batched states over one step of size h before the noise is added.
+``SdeModel`` steps by explicit Euler or, for ``method="semi_implicit"``, by
+the drift resolvent; the Galerkin ``SemilinearModel`` steps by exponential
+Euler whatever the method.  ``euler_steps`` is then the one plain stepper
+and ``coupling._coupled_core`` the one coupled stepper for both kinds.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parallel import CHUNK_SIZE, map_index_chunks
+from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RngStream, TimeGrid, bm_increments
 from .stats import MCEstimate
 
@@ -69,38 +78,36 @@ class DriftModel:
 
     func: callable
     one_sided_bound: callable
-    lipschitz_global: float | None = None
     implicit_solve: callable | None = None
 
 
 @dataclass(frozen=True)
 class DiffusionModel:
-    """Invertible diffusion sigma_t with operator-norm bound on its inverse."""
+    """Invertible diffusion sigma_t with operator-norm bound on its inverse.
+
+    ``matrix(t)`` returns a scalar (isotropic), a vector (diagonal) or a
+    d x d matrix.  Scalar and diagonal sigma act element-wise, so wide
+    diagonal systems need no matrix product.
+    """
 
     matrix: callable
     inverse: callable
     inverse_norm_bound: callable  # lambda_t >= ||sigma_t^{-1}||
-    isotropic_scale: float | None = None
 
     @classmethod
-    def isotropic(cls, scale, dim=None):
+    def isotropic(cls, scale):
         if scale <= 0:
             raise ValueError("isotropic diffusion needs a positive scale")
-        del dim
-        eye = None
+        return cls.diagonal(scale)
 
-        def matrix(t, _s=scale):
-            return _s
-
-        def inverse(t, _s=scale):
-            return 1.0 / _s
-
-        del eye
+    @classmethod
+    def diagonal(cls, sigma):
+        sigma = np.asarray(sigma, dtype=float)
+        bound = float(np.max(1.0 / np.abs(sigma)))
         return cls(
-            matrix=matrix,
-            inverse=inverse,
-            inverse_norm_bound=lambda t, _s=scale: 1.0 / _s,
-            isotropic_scale=float(scale),
+            matrix=lambda t: sigma,
+            inverse=lambda t: 1.0 / sigma,
+            inverse_norm_bound=lambda t: bound,
         )
 
     @classmethod
@@ -115,14 +122,12 @@ class DiffusionModel:
         )
 
     def apply(self, t, vecs):
-        if self.isotropic_scale is not None:
-            return self.isotropic_scale * vecs
-        return vecs @ np.asarray(self.matrix(t)).T
+        mat = np.asarray(self.matrix(t))
+        return mat * vecs if mat.ndim < 2 else vecs @ mat.T
 
     def apply_inverse(self, t, vecs):
-        if self.isotropic_scale is not None:
-            return vecs / self.isotropic_scale
-        return vecs @ np.asarray(self.inverse(t)).T
+        mat = np.asarray(self.matrix(t))
+        return vecs / mat if mat.ndim < 2 else vecs @ np.asarray(self.inverse(t)).T
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,19 @@ class SdeModel:
     def lambda_bound(self, t):
         return self.diffusion.inverse_norm_bound(t)
 
-    def terminal_states(self, x0, grid, clock_law, n_paths, stream, workers=1, method="euler"):
-        return terminal_states(self, x0, grid, clock_law, n_paths, stream, workers=workers, method=method)
+    def drift_step(self, t, h, states, method="euler"):
+        """States after the drift over [t, t + h], before the noise.
+
+        Method "euler" is the explicit step with the drift at the left
+        endpoint.  Method "semi_implicit" moves through the resolvent
+        (y - h b(y) = x), which stays stable for strongly contracting or
+        superlinear drifts where the explicit step can oscillate or blow up.
+        """
+        if method == "euler":
+            return states + np.asarray(self.drift.func(t, states), dtype=float) * h
+        if method == "semi_implicit":
+            return _implicit_drift_map(self, t, h, states)
+        raise ValueError(f"unknown integration method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -266,15 +282,9 @@ def _implicit_drift_map(model: SdeModel, t, h, states):
 def euler_steps(model: SdeModel, x0s, grid: TimeGrid, dw, keep_path=False, method="euler"):
     """One-step integrators over a batch of paths sharing the grid.
 
-    x0s has shape (n, d) and dw shape (n, M, d).  Method "euler" is the
-    explicit scheme with the drift at the left endpoint.  Method
-    "semi_implicit" splits the step: the drift moves through its resolvent
-    (y - h b(y) = x) before the noise is added, which stays stable for
-    strongly contracting or superlinear drifts where the explicit step can
-    oscillate or blow up.
+    x0s has shape (n, d) and dw shape (n, M, d).  Each step is the model's
+    ``drift_step`` plus the noise sigma dW and the perturbation increment.
     """
-    if method not in ("euler", "semi_implicit"):
-        raise ValueError(f"unknown integration method {method!r}")
     times = grid.times
     steps = grid.step_sizes
     states = np.array(x0s, dtype=float)
@@ -284,10 +294,7 @@ def euler_steps(model: SdeModel, x0s, grid: TimeGrid, dw, keep_path=False, metho
         t, h = times[i], steps[i]
         noise = model.diffusion.apply(t, dw[:, i, :])
         dv = v_values[i + 1] - v_values[i]
-        if method == "euler":
-            states = states + model.drift.func(t, states) * h + noise + dv
-        else:
-            states = _implicit_drift_map(model, t, h, states) + noise + dv
+        states = model.drift_step(t, h, states, method) + noise + dv
         bad = ~np.all(np.isfinite(states), axis=-1)
         if np.any(bad):
             raise IntegrationError(step_index=i, n_failed=int(bad.sum()))
@@ -338,25 +345,31 @@ def yoshida_drift(drift_func, n, t, x, tol=1e-12, max_iter=100):
     return out
 
 
+def plain_chunk(model, x0, grid: TimeGrid, sample_clock, method="euler"):
+    """Chunk function for ``map_path_chunks``: terminal states from x0.
+
+    Each chunk draws its clocks with ``sample_clock(grid, gen, count)``,
+    then the Gaussian increments, then steps with ``euler_steps``.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+
+    def run(gen, count):
+        clock = sample_clock(grid, gen, count)
+        dw = bm_increments(clock, model.dim, gen)
+        x0s = np.broadcast_to(x0, (count, model.dim))
+        return euler_steps(model, x0s, grid, dw, method=method)
+
+    return run
+
+
 def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler"):
     """Terminal values X_T for n_paths independent (S, W) draws.
 
     Paths are generated in fixed-size chunks with one counter-based stream
     per chunk, so the result is independent of worker count.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    out = np.empty((n_paths, model.dim))
-
-    def run_chunk(chunk_index, start, stop):
-        gen = stream.child(replicate=chunk_index).generator()
-        count = stop - start
-        clock = clock_law.sample_raw(grid, gen, count)
-        dw = bm_increments(clock, model.dim, gen)
-        x0s = np.broadcast_to(x0, (count, model.dim))
-        out[start:stop] = euler_steps(model, x0s, grid, dw, method=method)
-
-    map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
-    return out
+    chunk = plain_chunk(model, x0, grid, clock_law.sample_raw, method)
+    return map_path_chunks(n_paths, stream, chunk, workers)
 
 
 def semigroup_estimate(f, x0, model: SdeModel, clock_law: ClockLaw, grid: TimeGrid, n_paths, stream: RngStream, workers=1, method="euler") -> MCEstimate:
@@ -403,7 +416,6 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
         drift = DriftModel(
             func=lambda t, x: np.zeros_like(x),
             one_sided_bound=lambda t: 0.0,
-            lipschitz_global=0.0,
             implicit_solve=lambda t, h, rhs: rhs,
         )
     elif name == "ou":
@@ -413,7 +425,6 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
         drift = DriftModel(
             func=lambda t, x, _a=rate: -_a * x,
             one_sided_bound=lambda t, _a=rate: -_a,
-            lipschitz_global=rate,
             implicit_solve=lambda t, h, rhs, _a=rate: rhs / (1.0 + _a * h),
         )
         params = {"rate": rate, **params}
@@ -421,7 +432,6 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
         drift = DriftModel(
             func=lambda t, x: x - x**3,
             one_sided_bound=lambda t: 1.0,
-            lipschitz_global=None,
             implicit_solve=_double_well_resolvent,
         )
     elif name == "rotating":
@@ -435,7 +445,6 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
         drift = DriftModel(
             func=lambda t, x, _m=mat: x @ _m.T,
             one_sided_bound=lambda t, _c=contraction: -_c,
-            lipschitz_global=float(np.hypot(contraction, omega)),
             implicit_solve=lambda t, h, rhs, _m=mat: rhs @ np.linalg.inv(np.eye(2) - h * _m).T,
         )
         params = {"omega": omega, "contraction": contraction, **params}
@@ -475,10 +484,10 @@ def validate_diffusion(diffusion: DiffusionModel, dim, t_points=(0.0, 0.5, 1.0),
     for t in t_points:
         mat = np.asarray(diffusion.matrix(t), dtype=float)
         inv = np.asarray(diffusion.inverse(t), dtype=float)
-        if mat.ndim == 0:
-            mat = float(mat) * eye
-        if inv.ndim == 0:
-            inv = float(inv) * eye
+        if mat.ndim < 2:
+            mat = mat * eye
+        if inv.ndim < 2:
+            inv = inv * eye
         if np.max(np.abs(mat @ inv - eye)) > tol:
             raise ValueError(f"sigma * sigma^-1 differs from identity at t={t}")
         if np.linalg.norm(inv, 2) > diffusion.inverse_norm_bound(t) + tol:

@@ -106,18 +106,8 @@ class MCEstimate:
     def scaled(self, c):
         return MCEstimate(mean=c * self.mean, stderr=abs(c) * self.stderr, n=self.n)
 
-    def plus_constant(self, c):
-        return MCEstimate(mean=self.mean + c, stderr=self.stderr, n=self.n)
-
     def to_dict(self):
         return {"mean": self.mean, "stderr": self.stderr, "n": self.n}
-
-
-def merge_all(estimates):
-    out = estimates[0]
-    for e in estimates[1:]:
-        out = out.merge(e)
-    return out
 
 
 def variance_estimate(values) -> MCEstimate:

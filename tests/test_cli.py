@@ -101,6 +101,35 @@ class TestRunExperiments:
         config["clock"] = {"type": "stable", "theta": 1.5}
         assert cli.run_config(config, base_dir=tmp_path) == 64
 
+    def test_model_config_error_exit_code(self, tmp_path, capsys):
+        # passes the schema; make_model rejects it while building the model
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "simulate",
+            "model": {"name": "rotating", "dim": 3},
+            "clock": {"type": "linear"},
+            "grid": {"horizon": 1.0, "steps": 10},
+            "mc": {"n_paths": 100, "seed": 0},
+            "observable": {"name": "sin1"},
+        }
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        assert "config error" in capsys.readouterr().err
+
+    def test_stalled_sampler_exit_code(self, tmp_path, capsys):
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "simulate",
+            "model": {"name": "ou", "dim": 1},
+            "clock": {"type": "tempered_stable", "theta": 0.75, "kappa": 1e6},
+            "grid": {"horizon": 1.0, "steps": 1},
+            "mc": {"n_paths": 10, "seed": 0},
+            "observable": {"name": "sin1"},
+        }
+        assert cli.run_config(config, base_dir=tmp_path) == 70
+        err = capsys.readouterr().err
+        assert "stalled" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_simulate_with_paths_csv(self, tmp_path):
         config = {
             "schema": "subharnack/1",

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from subharnack import bernstein as bn
+from subharnack import certify as ct
 from subharnack import coupling as cp
+from subharnack import galerkin as gk
 from subharnack import pathgen as pg
 from subharnack import sde
+from subharnack.parallel import CHUNK_SIZE
 
 
 def identity_clock(horizon, steps):
@@ -272,10 +275,63 @@ class TestBatchDiagnostics:
         law = pg.ClockLaw(bn.StableBernstein(0.6), epsilon=0.05)
         runs = [
             cp.run_coupled_batch(
-                model, [1.0], [0.0], grid, law, 5000,
+                model, [1.0], [0.0], grid, law, CHUNK_SIZE + 17,
                 pg.RngStream(19, purpose="cw"), delta_couple=1e-6, workers=w,
             )
             for w in (1, 3)
         ]
         assert np.array_equal(runs[0].log_weights, runs[1].log_weights)
         assert np.array_equal(runs[0].x_terminal, runs[1].x_terminal)
+
+
+def _galerkin_terminals(workers):
+    model = gk.SemilinearModel(
+        spectrum=gk.SpectrumModel.from_power_law(8, 2.0),
+        force=lambda t, x: -x / (1.0 + np.sum(x * x, axis=-1, keepdims=True)),
+        force_lipschitz=lambda t: 9.0 / 8.0,
+        sigma_diag=1.0,
+    )
+    return (sde.terminal_states(
+        model, np.r_[1.0, np.zeros(7)], pg.TimeGrid.uniform(1.0, 20),
+        pg.ClockLaw(bn.StableBernstein(0.75)), CHUNK_SIZE + 17,
+        pg.RngStream(40, purpose="wi-galerkin"), workers=workers,
+    ),)
+
+
+def _transfer_estimates(workers):
+    ramp = sde.PerturbationModel.from_function(lambda t: np.array([0.5 * t]), 1)
+    model = sde.make_model("double_well", dim=1, perturbation=ramp)
+    a, b = cp.harnack_transfer_check(
+        lambda z: np.sin(z[:, 0]), model, [1.0], [0.0], pg.TimeGrid.uniform(1.0, 20),
+        pg.ClockLaw(bn.GammaBernstein(4.0, 4.0)), CHUNK_SIZE + 17,
+        pg.RngStream(41, purpose="wi-transfer"), delta_couple=1e-6, workers=workers,
+        method="semi_implicit",
+    )
+    return np.array([a.mean, a.stderr, b.mean, b.stderr]),
+
+
+def _rate_constant(workers):
+    result = ct.harnack_rate_constant(
+        sde.make_model("ou", dim=2), pg.ClockLaw(bn.StableBernstein(0.75)), 1.0,
+        t_grid=[0.25, 0.5, 1.0], n_paths=CHUNK_SIZE + 17,
+        stream=pg.RngStream(42, purpose="wi-rate"), workers=workers, resolution=16,
+    )
+    return np.array([(e.mean, e.stderr) for e in result.per_t]), result.per_t_infinite
+
+
+def _stable_rate(workers):
+    fit = ct.stable_rate_check(
+        0.75, sde.make_model("zero", dim=1), [0.1, 0.2, 0.4, 0.8], CHUNK_SIZE + 17,
+        pg.RngStream(43, purpose="wi-stable"), workers=workers,
+    )
+    return fit.measured, fit.measured_stderr
+
+
+@pytest.mark.parametrize(
+    "run", [_galerkin_terminals, _transfer_estimates, _rate_constant, _stable_rate],
+    ids=["galerkin-terminals", "transfer", "rate-constant", "stable-rate"],
+)
+def test_chunked_paths_worker_invariance(run):
+    # more paths than one chunk, so two workers really split the work
+    single, double = run(1), run(2)
+    assert all(np.array_equal(a, b) for a, b in zip(single, double))

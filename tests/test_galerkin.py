@@ -88,7 +88,7 @@ class TestStochasticConvolution:
         grid = pg.TimeGrid.uniform(1.0, 500)
         model = diagonal_model([1.0])
         law = pg.ClockLaw(bn.LinearBernstein())
-        finals = model.terminal_states([0.0], grid, law, 40_000, pg.RngStream(3, purpose="var"))
+        finals = sde.terminal_states(model, [0.0], grid, law, 40_000, pg.RngStream(3, purpose="var"))
         sq = finals[:, 0] ** 2
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         target = (1.0 - math.exp(-2.0)) / 2.0
@@ -103,7 +103,7 @@ class TestStochasticConvolution:
         gen = pg.RngStream(4, purpose="pair").generator()
         clocks = pg.ClockLaw(bn.StableBernstein(0.75)).sample_raw(grid, gen, 20_000)
         db = pg.bm_increments(clocks, 1, gen)
-        finals = gk.mild_steps(model, np.zeros((20_000, 1)), grid, db)
+        finals = sde.euler_steps(model, np.zeros((20_000, 1)), grid, db)
         h = 1.0 / steps
         damping = np.exp(-2.0 * h * np.arange(steps - 1, -1, -1))
         conditional = (np.diff(clocks, axis=1) * damping).sum(axis=1)
@@ -116,7 +116,7 @@ class TestStochasticConvolution:
         grid = pg.TimeGrid.uniform(1.0, 300)
         model = diagonal_model([0.5, 1.0, 2.0, 4.0])
         law = pg.ClockLaw(bn.LinearBernstein())
-        finals = model.terminal_states([0.0] * 4, grid, law, 40_000, pg.RngStream(5, purpose="mono"))
+        finals = sde.terminal_states(model, [0.0] * 4, grid, law, 40_000, pg.RngStream(5, purpose="mono"))
         variances = finals.var(axis=0, ddof=1)
         stderrs = np.sqrt(2.0 / finals.shape[0]) * variances  # var of chi-square mean
         for j in range(3):
@@ -130,7 +130,7 @@ class TestStochasticConvolution:
         gen = pg.RngStream(6, purpose="cont").generator()
         clocks = pg.ClockLaw(bn.StableBernstein(0.75)).sample_raw(grid, gen, 30_000)
         db = pg.bm_increments(clocks, 1, gen)
-        paths = gk.mild_steps(model, np.zeros((30_000, 1)), grid, db, keep_path=True)
+        paths = sde.euler_steps(model, np.zeros((30_000, 1)), grid, db, keep_path=True)
         t_index = base_steps // 2
         probabilities = []
         for lag_steps in (64, 32, 16, 8):
@@ -143,7 +143,7 @@ class TestIntegrateMild:
     def test_pure_damping_exact(self):
         grid = pg.TimeGrid.uniform(1.0, 500)
         model = diagonal_model([1.0, 3.0])
-        states = gk.mild_steps(model, np.array([[2.0, -1.0]]), grid, np.zeros((1, 500, 2)))
+        states = sde.euler_steps(model, np.array([[2.0, -1.0]]), grid, np.zeros((1, 500, 2)))
         np.testing.assert_allclose(
             states[0], [2.0 * math.exp(-1.0), -1.0 * math.exp(-3.0)], rtol=1e-12
         )
@@ -154,7 +154,7 @@ class TestIntegrateMild:
         gen = pg.RngStream(7, purpose="bit").generator()
         clock = pg.ClockLaw(bn.LinearBernstein()).sample_raw(grid, gen, 3)
         db = pg.bm_increments(clock, 1, gen)
-        mild = gk.mild_steps(model, np.ones((3, 1)), grid, db)
+        mild = sde.euler_steps(model, np.ones((3, 1)), grid, db)
         plain = sde.euler_steps(sde.make_model("ou", dim=1, rate=1.0), np.ones((3, 1)), grid, db)
         assert np.array_equal(mild, plain)
 
@@ -168,7 +168,7 @@ class TestIntegrateMild:
         results = []
         for steps in (100, 200, 400):
             grid = pg.TimeGrid.uniform(1.0, steps)
-            states = gk.mild_steps(model4(), np.full((1, 4), 0.7), grid, np.zeros((1, steps, 4)))
+            states = sde.euler_steps(model4(), np.full((1, 4), 0.7), grid, np.zeros((1, steps, 4)))
             results.append(states[0])
         d1 = np.linalg.norm(results[0] - results[1])
         d2 = np.linalg.norm(results[1] - results[2])
@@ -188,13 +188,11 @@ class TestCouplingOnTruncatedSystem:
         law = pg.ClockLaw(bn.StableBernstein(0.75), epsilon=0.05)
         grid = pg.TimeGrid.uniform(1.0, 200)
         for n in (2, 8):
-            model = gk.as_sde_model(
-                gk.SemilinearModel(
-                    spectrum=gk.SpectrumModel.from_power_law(n, 2.0),
-                    force=lambda t, x: np.zeros_like(x),
-                    force_lipschitz=lambda t: 0.0,
-                    sigma_diag=1.0,
-                )
+            model = gk.SemilinearModel(
+                spectrum=gk.SpectrumModel.from_power_law(n, 2.0),
+                force=lambda t, x: np.zeros_like(x),
+                force_lipschitz=lambda t: 0.0,
+                sigma_diag=1.0,
             )
             x = np.r_[1.0, np.zeros(n - 1)]
             batch = cp.run_coupled_batch(
@@ -203,6 +201,30 @@ class TestCouplingOnTruncatedSystem:
             )
             est = batch.weight_normalization()
             assert abs(est.mean - 1.0) < 3.0 * est.stderr, n
+
+    def test_wide_truncation_stays_bounded(self):
+        # 64 modes at h = 1/250 put rho_n h near 16: an explicit Euler step
+        # there multiplies the top mode by about -15 per step (terminal
+        # states near 1e296), while the exponential-Euler step damps it.
+        # The stable clock's heavy tail alone puts single coordinates in
+        # the hundreds at some seeds, hence the loose bound.
+        n = 64
+        model = gk.SemilinearModel(
+            spectrum=gk.SpectrumModel.from_power_law(n, 2.0),
+            force=lambda t, x: np.zeros_like(x),
+            force_lipschitz=lambda t: 0.0,
+            sigma_diag=1.0,
+        )
+        law = pg.ClockLaw(bn.StableBernstein(0.75), epsilon=0.05)
+        x = np.r_[1.0, np.zeros(n - 1)]
+        batch = cp.run_coupled_batch(
+            model, x, np.zeros(n), pg.TimeGrid.uniform(1.0, 250), law, 2000,
+            pg.RngStream(8, purpose="gk-wide"), delta_couple=1e-6,
+        )
+        assert np.max(np.abs(batch.x_terminal)) < 1e6
+        assert np.max(np.abs(batch.y_terminal)) < 1e6
+        est = batch.weight_normalization()
+        assert abs(est.mean - 1.0) < 4.0 * est.stderr
 
 
 class TestDimensionFreeCheck:
@@ -256,7 +278,7 @@ class TestDimensionFreeCheck:
         for n, seed in ((4, 11), (64, 12)):
             model = spectral(n)
             x = np.r_[1.0, np.zeros(n - 1)]
-            finals = model.terminal_states(x, grid, law, 20_000, pg.RngStream(seed, purpose=f"marg-{n}"))
+            finals = sde.terminal_states(model, x, grid, law, 20_000, pg.RngStream(seed, purpose=f"marg-{n}"))
             values = 2.0 + np.sin(finals[:, 0])
             estimates.append((values.mean(), values.std(ddof=1) / math.sqrt(values.size)))
         (m1, s1), (m2, s2) = estimates
