@@ -161,7 +161,8 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
     d_clock has shape (n, M), dw has shape (n, M, d).  Returns terminal
     states, coupling indices (-1 while uncoupled), the log weight, the
     accumulated squared steering cost, the cost denominator, the applied
-    rates, and optionally full paths.
+    rates, and optionally full paths.  The states are kept column-major,
+    matching the (M, d, n) memory order of ``bm_increments``.
     """
     times = grid.times
     h = grid.step_sizes
@@ -173,8 +174,8 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
     _, decay, denominator = clock_decay(model.k_bound, times, d_clock)  # denominator (n,)
 
     dv_steps = np.diff(model.perturbation.values_on(grid), axis=0)
-    X = np.broadcast_to(np.asarray(x, dtype=float), (n, dim)).copy()
-    Y = np.broadcast_to(np.asarray(y, dtype=float), (n, dim)).copy()
+    X = np.array(np.broadcast_to(np.asarray(x, dtype=float), (n, dim)), order="F")
+    Y = np.array(np.broadcast_to(np.asarray(y, dtype=float), (n, dim)), order="F")
     log_weight = np.zeros(n)
     eta_sq = np.zeros(n)
     rates = np.zeros((n, n_steps)) if keep_path else None
@@ -223,10 +224,10 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
         just_coupled = active & (new_dist <= delta)
         tau_idx[just_coupled] = i + 1
         coupled |= just_coupled
-        Y[coupled] = X[coupled]
+        np.copyto(Y, X, where=coupled[:, None])
 
-        bad = ~(np.all(np.isfinite(X), axis=1) & np.all(np.isfinite(Y), axis=1))
-        if np.any(bad):
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+            bad = ~(np.all(np.isfinite(X), axis=1) & np.all(np.isfinite(Y), axis=1))
             raise IntegrationError(step_index=i, n_failed=int(bad.sum()))
         if keep_path:
             hist_x.append(X.copy())

@@ -180,14 +180,35 @@ class RejectionError(RuntimeError):
     pass
 
 
+_REJECTION_ROUNDS = 10_000
+
+
+def _check_tempered_acceptance(theta, kappa, durations):
+    """Raise before any draw when the longest cell is likely to stall.
+
+    A stable proposal over a cell of length dt is accepted with probability
+    p = exp(-kappa^theta dt); the sampler gives up when one increment of
+    that cell stays unaccepted after every round with probability above 1/2.
+    """
+    longest = float(np.max(durations, initial=0.0))
+    accept = math.exp(-(kappa**theta) * longest)
+    if accept < 1.0 and _REJECTION_ROUNDS * math.log1p(-accept) > math.log(0.5):
+        raise RejectionError(
+            f"tempered-stable rejection sampler stalled: acceptance rate {accept:.3e} "
+            f"per proposal over a cell of length {longest:.3g} is too low for "
+            f"{_REJECTION_ROUNDS} rounds; reduce the step size or kappa"
+        )
+
+
 def _tempered_stable_increments(theta, kappa, durations, gen, shape):
     """Exponentially tilted stable increments by rejection on the stable sampler."""
+    _check_tempered_acceptance(theta, kappa, durations)
     out = np.empty(shape)
     remaining = np.ones(shape, dtype=bool)
     dur = np.broadcast_to(durations, shape)
     total_proposals = 0
     total_accepted = 0
-    for _ in range(10_000):
+    for _ in range(_REJECTION_ROUNDS):
         idx = np.nonzero(remaining)
         n_left = idx[0].size
         if n_left == 0:
@@ -309,14 +330,27 @@ def regularize(path: SubordinatorPath, epsilon, extension: SubordinatorPath | No
 def bm_increments(clock_values, dimension, gen):
     """Gaussian increments with per-cell variance equal to the clock increment.
 
-    clock_values has shape (..., M+1); the result has shape (..., M, d).
+    clock_values has shape (..., M+1); the result has shape (..., M, d) and
+    the draws are those of ``standard_normal((..., M, d))``.  Its memory is
+    ordered (M, d, ...): for a batch of n paths, ``dw[:, i, :]`` is an
+    F-contiguous (n, d) block, so each step's arithmetic runs on contiguous
+    length-n columns.  A 1-D clock keeps the plain (M, d) layout.
     """
     clock_values = np.asarray(clock_values, dtype=float)
     gaps = np.diff(clock_values, axis=-1)
     if np.any(gaps < 0):
         raise ValueError("clock increments must be nonnegative")
     normals = gen.standard_normal(gaps.shape + (dimension,))
-    return normals * np.sqrt(gaps)[..., None]
+    paths = gaps.ndim - 1
+    buffer = np.empty(gaps.shape[-1:] + (dimension,) + gaps.shape[:-1])
+    # iterate in the buffer's order: the inner loop then runs over paths,
+    # not over the d coordinates of the draw order
+    np.multiply(
+        normals.transpose((paths, paths + 1) + tuple(range(paths))),
+        np.moveaxis(np.sqrt(gaps), -1, 0)[:, None],
+        out=buffer, order="C",
+    )
+    return buffer.transpose(tuple(range(2, 2 + paths)) + (0, 1))
 
 
 def sample_timechanged_bm(clock, dimension, rng) -> TimeChangedBMPath:

@@ -9,7 +9,11 @@ zero drift and the linear clock this gives, e.g., P_T sin = e^{-T/2} sin.
 Drifts carry a one-sided Lipschitz bound K_t, diffusions an inverse-norm
 bound lambda_t; both bounds feed the certified inequality constants.  Drift
 and observable callables must accept batched states of shape (..., d) so
-that Monte Carlo replication stays vectorized.
+that Monte Carlo replication stays vectorized.  The steppers keep batched
+states column-major, so these callables may receive F-ordered (n, d)
+arrays: element-wise drifts and ``x @ M.T`` work unchanged, but a callable
+that reads the raw buffer (``tobytes``, ``np.frombuffer``,
+``ravel(order="K")``) sees the coordinates in another order.
 
 Drift-step interface.  A model is anything with ``dim``, ``perturbation``,
 ``diffusion`` (``apply`` and ``apply_inverse``), ``k_bound(t)``,
@@ -284,10 +288,12 @@ def euler_steps(model: SdeModel, x0s, grid: TimeGrid, dw, keep_path=False, metho
 
     x0s has shape (n, d) and dw shape (n, M, d).  Each step is the model's
     ``drift_step`` plus the noise sigma dW and the perturbation increment.
+    States are kept column-major, matching the (M, d, n) memory order of
+    ``bm_increments``.
     """
     times = grid.times
     steps = grid.step_sizes
-    states = np.array(x0s, dtype=float)
+    states = np.array(x0s, dtype=float, order="F")
     v_values = model.perturbation.values_on(grid)
     history = [states.copy()] if keep_path else None
     for i in range(grid.n_steps):
@@ -295,8 +301,8 @@ def euler_steps(model: SdeModel, x0s, grid: TimeGrid, dw, keep_path=False, metho
         noise = model.diffusion.apply(t, dw[:, i, :])
         dv = v_values[i + 1] - v_values[i]
         states = model.drift_step(t, h, states, method) + noise + dv
-        bad = ~np.all(np.isfinite(states), axis=-1)
-        if np.any(bad):
+        if not np.isfinite(states).all():
+            bad = ~np.all(np.isfinite(states), axis=-1)
             raise IntegrationError(step_index=i, n_failed=int(bad.sum()))
         if keep_path:
             history.append(states.copy())

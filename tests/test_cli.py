@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from subharnack import cli, selftest
+from subharnack import cli, pathgen, selftest
 
 
 def write_config(tmp_path, name, config):
@@ -115,19 +115,26 @@ class TestRunExperiments:
         assert cli.run_config(config, base_dir=tmp_path) == 64
         assert "config error" in capsys.readouterr().err
 
-    def test_stalled_sampler_exit_code(self, tmp_path, capsys):
+    def test_stalled_sampler_exit_code(self, tmp_path, capsys, monkeypatch):
+        # acceptance probability exp(-kappa^theta h) is 0 here, so the stall
+        # is known before any proposal (the 10,000 rounds took 11 s on a
+        # 2-core Xeon)
+        def no_proposals(*args, **kwargs):
+            raise AssertionError("a stable proposal was drawn")
+
+        monkeypatch.setattr(pathgen, "_standard_positive_stable", no_proposals)
         config = {
             "schema": "subharnack/1",
             "experiment": "simulate",
             "model": {"name": "ou", "dim": 1},
             "clock": {"type": "tempered_stable", "theta": 0.75, "kappa": 1e6},
             "grid": {"horizon": 1.0, "steps": 1},
-            "mc": {"n_paths": 10, "seed": 0},
+            "mc": {"n_paths": 16384, "seed": 0},
             "observable": {"name": "sin1"},
         }
         assert cli.run_config(config, base_dir=tmp_path) == 70
         err = capsys.readouterr().err
-        assert "stalled" in err
+        assert "stalled" in err and "acceptance rate" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_simulate_with_paths_csv(self, tmp_path):

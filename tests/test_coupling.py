@@ -284,6 +284,61 @@ class TestBatchDiagnostics:
         assert np.array_equal(runs[0].x_terminal, runs[1].x_terminal)
 
 
+class TestCoupledStepping:
+    @pytest.mark.parametrize("name", ["ou", "rotating"])
+    def test_increment_layout_changes_no_bit(self, name):
+        model = sde.make_model(name, dim=2)
+        grid = pg.TimeGrid.uniform(1.0, 40)
+        gen = pg.RngStream(36, purpose="layout").generator()
+        clock = pg.ClockLaw(bn.StableBernstein(0.75)).sample_coupling(grid, gen, 300)
+        d_clock = np.diff(clock, axis=1)
+        dw = pg.bm_increments(clock, 2, gen)
+        runs = [
+            cp._coupled_core(model, [1.0, 0.5], [-0.5, 0.2], grid, d_clock, noise, 1e-6, keep_path=True)
+            for noise in (dw, np.ascontiguousarray(dw))
+        ]
+        for key in runs[0]:
+            assert np.array_equal(runs[0][key], runs[1][key]), key
+        coupled = runs[0]["tau_index"] >= 0
+        assert np.any(coupled)
+        assert np.array_equal(runs[0]["x_terminal"][coupled], runs[0]["y_terminal"][coupled])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_integration_error_counts_failed_paths(self):
+        # shared kicks at step 2 of different sizes make rows overflow at
+        # different steps; each row run alone is the oracle
+        model = sde.SdeModel(
+            dim=2,
+            drift=sde.DriftModel(func=lambda t, x: x**3 * 1e6, one_sided_bound=lambda t: 0.0),
+            diffusion=sde.DiffusionModel.isotropic(1.0),
+            perturbation=sde.PerturbationModel.zero(2),
+        )
+        grid = pg.TimeGrid.uniform(1.0, 50)
+        kicks = np.array([
+            [10.0, 0.0], [0.0, 0.0], [10.0, 10.0], [0.01, 0.0], [0.0, 3.0],
+            [1.0, 0.0], [0.0, 0.02], [0.0, 0.0],
+        ])
+        dw = np.zeros((len(kicks), grid.n_steps, 2))
+        dw[:, 2, :] = kicks
+        d_clock = np.tile(grid.step_sizes, (len(kicks), 1))
+        args = ([1e-3, 0.0], [0.0, 0.0], grid)
+        first = np.full(len(kicks), grid.n_steps)
+        for row in range(len(kicks)):
+            try:
+                cp._coupled_core(model, *args, d_clock[row:row + 1], dw[row:row + 1], 1e-9)
+            except sde.IntegrationError as exc:
+                assert exc.n_failed == 1
+                first[row] = exc.step_index
+        step = int(first.min())
+        expected = int((first == step).sum())
+        assert 1 < expected < len(kicks) - 2
+        with pytest.raises(sde.IntegrationError) as err:
+            cp._coupled_core(model, *args, d_clock, dw, 1e-9)
+        assert err.value.step_index == step
+        assert err.value.n_failed == expected
+
+
 def _galerkin_terminals(workers):
     model = gk.SemilinearModel(
         spectrum=gk.SpectrumModel.from_power_law(8, 2.0),

@@ -111,6 +111,26 @@ class TestSubordinatorSampling:
         with pytest.raises(pg.RejectionError, match="acceptance rate"):
             pg.sample_subordinator_increments(bf, np.array([50.0]), gen, 4)
 
+    def test_tempered_stall_raised_before_any_draw(self):
+        # kappa^theta dt = 31623: a proposal is accepted with probability 0
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"generator method {name} called")
+
+        bf = bn.TemperedStableBernstein(0.75, 1e6)
+        with pytest.raises(pg.RejectionError, match="stalled.*acceptance rate"):
+            pg.sample_subordinator_increments(bf, np.array([1.0]), NoDraws(), 16384)
+
+    def test_tempered_stall_line(self):
+        # one increment of the longest cell stays unaccepted after 10,000
+        # rounds with probability (1 - exp(-kappa^theta dt))^10000, which
+        # crosses 1/2 at kappa^theta dt = 9.58
+        durations = np.array([0.01, 1.0])
+        pg._check_tempered_acceptance(1.0, 9.5, durations)
+        with pytest.raises(pg.RejectionError, match="acceptance rate 6.77"):
+            pg._check_tempered_acceptance(1.0, 9.6, durations)
+        pg._check_tempered_acceptance(0.5, 1e6, np.zeros(3))
+
 
 class TestRegularize:
     def _linear_clock(self, horizon, steps, epsilon, ext_steps=400):
@@ -220,6 +240,26 @@ class TestTimeChangedBM:
         assert abs(emp.mean() - math.exp(-2.0)) < 3.0 * stderr(emp)
         emp_two = np.cos(2.0 * w)
         assert abs(emp_two.mean() - math.exp(-math.sqrt(2.0))) < 3.0 * stderr(emp_two)
+
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    @pytest.mark.parametrize("paths", [None, 37], ids=["1d-clock", "2d-clock"])
+    def test_increments_are_the_scaled_normals(self, dim, paths):
+        # the (M, d, paths) memory order changes no bit and no draw
+        grid = pg.TimeGrid.uniform(1.0, 9)
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        clock = law.sample_raw(grid, pg.RngStream(110).generator(), paths or 1)
+        clock = clock[0] if paths is None else clock
+        inc = pg.bm_increments(clock, dim, pg.RngStream(111).generator())
+        gaps = np.diff(clock, axis=-1)
+        ref = pg.RngStream(111).generator().standard_normal(gaps.shape + (dim,))
+        ref = ref * np.sqrt(gaps)[..., None]
+        assert inc.shape == ref.shape
+        assert np.array_equal(inc, ref)
+        if paths is None:
+            assert inc.flags.c_contiguous
+        else:
+            for i in range(grid.n_steps):
+                assert inc[:, i, :].flags.f_contiguous
 
     def test_determinism_across_worker_style_chunks(self):
         grid = pg.TimeGrid.uniform(1.0, 10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subharnack import bernstein as bn
+from subharnack import galerkin as gk
 from subharnack import pathgen as pg
 from subharnack import sde
 
@@ -93,6 +94,76 @@ class TestIntegrate:
     def test_perturbation_requires_zero_start(self):
         with pytest.raises(ValueError, match="V_0 = 0"):
             sde.PerturbationModel.from_function(lambda t: np.array([1.0 + t]), 1)
+
+
+def sixteen_modes():
+    return gk.SemilinearModel(
+        spectrum=gk.SpectrumModel.from_power_law(16, 2.0),
+        force=lambda t, x: np.sin(x),
+        force_lipschitz=lambda t: 1.0,
+        sigma_diag=np.linspace(1.0, 2.0, 16),
+    )
+
+
+class TestBatchedStepping:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (lambda: sde.make_model("ou", dim=1), "euler"),
+            (lambda: sde.make_model("double_well", dim=1), "semi_implicit"),
+            (lambda: sde.make_model("rotating", dim=2), "euler"),
+            (lambda: sde.make_model("rotating", dim=2), "semi_implicit"),
+            (sixteen_modes, "euler"),
+        ],
+        ids=["ou-d1", "double-well-d1", "rotating-d2", "rotating-d2-implicit", "galerkin-16"],
+    )
+    def test_increment_layout_changes_no_bit(self, case):
+        build, method = case
+        model = build()
+        grid = pg.TimeGrid.uniform(1.0, 30)
+        gen = pg.RngStream(35, purpose="layout").generator()
+        clock = pg.ClockLaw(bn.StableBernstein(0.75)).sample_raw(grid, gen, 300)
+        dw = pg.bm_increments(clock, model.dim, gen)
+        x0s = gen.standard_normal((300, model.dim))
+        runs = [
+            sde.euler_steps(model, x0s, grid, noise, keep_path=True, method=method)
+            for noise in (dw, np.ascontiguousarray(dw))
+        ]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.all(np.isfinite(runs[0]))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_integration_error_counts_failed_paths(self):
+        # rows overflow at different steps; rows at zero never do.  The
+        # oracle runs the same explicit recurrence row by row.
+        grid = pg.TimeGrid.uniform(1.0, 50)
+        x0s = np.array([
+            [10.0, 0.0], [0.0, 0.0], [10.0, 10.0], [0.01, 0.0], [0.0, 3.0],
+            [1.0, 0.0], [0.0, 0.02], [0.0, 0.0],
+        ])
+        first = np.full(len(x0s), grid.n_steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, x in enumerate(x0s):
+                for i, h in enumerate(grid.step_sizes):
+                    x = x + x**3 * 1e6 * h
+                    if not np.all(np.isfinite(x)):
+                        first[row] = i
+                        break
+        step = int(first.min())
+        expected = int((first == step).sum())
+        assert 1 < expected < len(x0s) - 2
+        blow_up = sde.SdeModel(
+            dim=2,
+            drift=sde.DriftModel(func=lambda t, x: x**3 * 1e6, one_sided_bound=lambda t: 0.0),
+            diffusion=sde.DiffusionModel.isotropic(1.0),
+            perturbation=sde.PerturbationModel.zero(2),
+        )
+        dw = np.zeros((len(x0s), grid.n_steps, 2))
+        with pytest.raises(sde.IntegrationError) as err:
+            sde.euler_steps(blow_up, x0s, grid, dw)
+        assert err.value.step_index == step
+        assert err.value.n_failed == expected
 
 
 class TestSynchronousContraction:
