@@ -196,9 +196,8 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
         active = ~coupled
         diff = X - Y
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        safe = dist > 0
-        unit = np.zeros_like(diff)
-        np.divide(diff, dist[:, None], out=unit, where=(safe & active)[:, None])
+        mask = (dist > 0) & active
+        unit = np.where(mask[:, None], diff / np.where(mask, dist, 1.0)[:, None], 0.0)
 
         # states after the drift step but before the common noise; the
         # clipping distance is measurable without peeking at the increment

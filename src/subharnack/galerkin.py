@@ -167,22 +167,6 @@ def integrate_mild(x0, model: SemilinearModel, clock: SubordinatorPath, grid: Ti
     return integrate(x0, model, sample_timechanged_bm(clock, model.dim, rng), grid)
 
 
-def validate_force_lipschitz(model: SemilinearModel, t_points=(0.0, 0.5, 1.0), n_probes=1000, seed=0, tol=1e-10, box=3.0):
-    """Probe |F_s(x) - F_s(y)| <= K_s |x - y| on random pairs."""
-    gen = np.random.default_rng(seed)
-    n = model.dim
-    for t in t_points:
-        k_t = model.force_lipschitz(t)
-        x = gen.uniform(-box, box, size=(n_probes, n))
-        y = gen.uniform(-box, box, size=(n_probes, n))
-        gap = np.linalg.norm(
-            np.asarray(model.force(t, x)) - np.asarray(model.force(t, y)), axis=1
-        )
-        dist = np.linalg.norm(x - y, axis=1)
-        if np.any(gap > k_t * dist + tol):
-            raise ValueError(f"forcing Lipschitz bound violated at t={t}")
-
-
 @dataclass(frozen=True)
 class DimensionFreeResult:
     dims: tuple
@@ -264,7 +248,7 @@ def dimension_free_check(model_family, f, x, y, horizon, dims, clock_law: ClockL
         )
 
     slacks = np.array([r.slack for r in reports])
-    errors = np.array([math.hypot(r.lhs.stderr, r.rhs.stderr) for r in reports])
+    errors = np.array([r.slack_stderr for r in reports])
     ns = np.asarray(dims, dtype=float)
     w = 1.0 / np.maximum(errors, 1e-15) ** 2
     n_bar = np.sum(w * ns) / np.sum(w)

@@ -10,7 +10,6 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -38,7 +37,6 @@ __all__ = [
     "sample_timechanged_bm",
     "bm_increments",
     "brownian_at_clocks",
-    "export_paths_csv",
 ]
 
 
@@ -422,24 +420,3 @@ class ClockLaw:
         inc = sample_subordinator_increments(self.bernstein, durations, gen, n_paths)
         comb_values = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(inc, axis=1)], axis=1)
         return regularized_values(grid.times, comb_times, comb_values, self.epsilon)
-
-
-def export_paths_csv(file_path, grid: TimeGrid, subordinator=None, clock=None, bm=None):
-    """Debug CSV with columns (t, S, clock_eps, W_1..W_d)."""
-    t = grid.times
-    columns = [("t", t)]
-    if subordinator is not None:
-        columns.append(("S", np.asarray(subordinator.values)))
-    if clock is not None:
-        columns.append(("clock_eps", np.asarray(clock.values)))
-    if bm is not None:
-        walk = np.vstack(
-            [np.zeros((1, bm.dimension)), np.cumsum(bm.increments, axis=0)]
-        )
-        for j in range(bm.dimension):
-            columns.append((f"W_{j + 1}", walk[:, j]))
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
-        for i in range(t.size):
-            writer.writerow([repr(float(col[i])) for _, col in columns])

@@ -49,8 +49,6 @@ __all__ = [
     "semigroup_estimate",
     "terminal_states",
     "make_model",
-    "validate_one_sided_bound",
-    "validate_diffusion",
 ]
 
 
@@ -355,15 +353,27 @@ def plain_chunk(model, x0, grid: TimeGrid, sample_clock, method="euler"):
     """Chunk function for ``map_path_chunks``: terminal states from x0.
 
     Each chunk draws its clocks with ``sample_clock(grid, gen, count)``,
-    then the Gaussian increments, then steps with ``euler_steps``.
+    then the Gaussian increments, then steps with ``euler_steps``.  x0 is
+    one start of shape (d,), giving rows of shape (d,), or K starts of
+    shape (K, d), giving rows of shape (K, d): the clock and the increments
+    are drawn once and every start is stepped through that one draw, so
+    start k gets the same bits as a single-start call on the same stream.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    starts = x0.reshape(-1, x0.shape[-1])
 
     def run(gen, count):
         clock = sample_clock(grid, gen, count)
         dw = bm_increments(clock, model.dim, gen)
-        x0s = np.broadcast_to(x0, (count, model.dim))
-        return euler_steps(model, x0s, grid, dw, method=method)
+        # stored (K, d, n) and viewed as (n, K, d), so every [:, k, :] block
+        # is column-major like a single-start result; np.concatenate keeps
+        # that layout across chunks
+        finals = np.empty((len(starts), model.dim, count))
+        for k, start in enumerate(starts):
+            x0s = np.broadcast_to(start, (count, model.dim))
+            finals[k] = euler_steps(model, x0s, grid, dw, method=method).T
+        finals = finals.transpose(2, 0, 1)
+        return finals[:, 0] if x0.ndim == 1 else finals
 
     return run
 
@@ -372,7 +382,11 @@ def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_
     """Terminal values X_T for n_paths independent (S, W) draws.
 
     Paths are generated in fixed-size chunks with one counter-based stream
-    per chunk, so the result is independent of worker count.
+    per chunk, so the result is independent of worker count.  A start x0 of
+    shape (d,) gives an (n_paths, d) array; K starts of shape (K, d) give
+    (n_paths, K, d), all K driven by the same clock and noise on each path
+    (common random numbers), with [:, k, :] equal bit for bit to a
+    single-start call from x0[k] on the same stream.
     """
     chunk = plain_chunk(model, x0, grid, clock_law.sample_raw, method)
     return map_path_chunks(n_paths, stream, chunk, workers)
@@ -448,10 +462,12 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
         if contraction <= 0:
             raise ValueError("rotating model needs a positive contraction")
         mat = np.array([[-contraction, -omega], [omega, -contraction]])
+        # (M @ x.T).T keeps column-major batches column-major; x @ M.T
+        # gives the same bits but returns C order
         drift = DriftModel(
-            func=lambda t, x, _m=mat: x @ _m.T,
+            func=lambda t, x, _m=mat: (_m @ x.T).T,
             one_sided_bound=lambda t, _c=contraction: -_c,
-            implicit_solve=lambda t, h, rhs, _m=mat: rhs @ np.linalg.inv(np.eye(2) - h * _m).T,
+            implicit_solve=lambda t, h, rhs, _m=mat: (np.linalg.inv(np.eye(2) - h * _m) @ rhs.T).T,
         )
         params = {"omega": omega, "contraction": contraction, **params}
     else:
@@ -466,35 +482,3 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
         label=name,
         params={"sigma_scale": sigma_scale, **params},
     )
-
-
-def validate_one_sided_bound(drift: DriftModel, dim, t_points=(0.0, 0.5, 1.0), n_probes=1000, seed=0, tol=1e-10, box=3.0):
-    """Check <b(x)-b(y), x-y> <= K_t |x-y|^2 on randomized probe pairs."""
-    gen = np.random.default_rng(seed)
-    for t in t_points:
-        k_t = drift.one_sided_bound(t)
-        x = gen.uniform(-box, box, size=(n_probes, dim))
-        y = gen.uniform(-box, box, size=(n_probes, dim))
-        gap = np.einsum(
-            "ij,ij->i", np.asarray(drift.func(t, x)) - np.asarray(drift.func(t, y)), x - y
-        )
-        dist_sq = np.einsum("ij,ij->i", x - y, x - y)
-        if np.any(gap > k_t * dist_sq + tol):
-            worst = float(np.max(gap - k_t * dist_sq))
-            raise ValueError(f"one-sided bound violated at t={t} by {worst:.3e}")
-
-
-def validate_diffusion(diffusion: DiffusionModel, dim, t_points=(0.0, 0.5, 1.0), tol=1e-12):
-    """Check sigma sigma^{-1} = I and the operator-norm bound on the probe grid."""
-    eye = np.eye(dim)
-    for t in t_points:
-        mat = np.asarray(diffusion.matrix(t), dtype=float)
-        inv = np.asarray(diffusion.inverse(t), dtype=float)
-        if mat.ndim < 2:
-            mat = mat * eye
-        if inv.ndim < 2:
-            inv = inv * eye
-        if np.max(np.abs(mat @ inv - eye)) > tol:
-            raise ValueError(f"sigma * sigma^-1 differs from identity at t={t}")
-        if np.linalg.norm(inv, 2) > diffusion.inverse_norm_bound(t) + tol:
-            raise ValueError(f"inverse norm bound violated at t={t}")

@@ -7,6 +7,7 @@ from subharnack import bernstein as bn
 from subharnack import certify as ct
 from subharnack import pathgen as pg
 from subharnack import sde
+from subharnack.parallel import CHUNK_SIZE
 from subharnack.observables import get_observable
 from subharnack.stats import MCEstimate
 
@@ -68,10 +69,20 @@ class TestVerdictPolicy:
     def test_report_dict_schema(self):
         doc = self._report(1.0, 1.2, 0.05).to_dict()
         assert set(doc) == {
-            "inequality", "params", "lhs", "rhs", "slack", "z_score",
-            "verdict", "form", "notes", "runtime_seconds", "seed",
+            "inequality", "params", "lhs", "rhs", "slack", "slack_stderr",
+            "z_score", "verdict", "form", "notes", "runtime_seconds", "seed",
         }
         assert set(doc["lhs"]) == {"mean", "stderr", "n"}
+
+    def test_slack_stderr_sets_the_z_score(self):
+        lhs, rhs = MCEstimate(1.0, 0.3, 100), MCEstimate(1.2, 0.4, 100)
+        independent = ct.HarnackReport.build("unit", {}, lhs, rhs)
+        assert independent.slack_stderr == math.hypot(0.3, 0.4)
+        assert independent.z_score == pytest.approx(0.2 / 0.5)
+        paired = ct.HarnackReport.build("unit", {}, lhs, rhs, slack_stderr=0.05)
+        assert paired.slack_stderr == 0.05
+        assert paired.z_score == pytest.approx(4.0)
+        assert paired.to_dict()["slack_stderr"] == 0.05
 
 
 class TestRateConstant:
@@ -180,6 +191,53 @@ class TestLogHarnack:
                 lambda z: np.sin(z[:, 0]), [0.0], [1.0], 1.0, model, linear_law(),
                 2000, pg.RngStream(8, purpose="neg"), grid=pg.TimeGrid.uniform(1.0, 20),
             )
+
+
+class TestCalibration:
+    """z over 200 seeds in the two sharp cases, where the slack is exactly 0.
+
+    Zero drift, linear clock, f = exp(<(1, 0), .>), T = 1, x = 0 and
+    y = (1, 0).  The power case's moment side exp(2 W) is lognormal with
+    sigma 2, so its z is skewed below about 20 000 paths whatever the
+    pairing; both cases run at that size.
+    """
+
+    N_PATHS = 20_000
+    SEEDS = range(200)
+
+    def _setup(self):
+        return (
+            sde.make_model("zero", dim=2),
+            get_observable("exp_a", 2, direction=[1.0, 0.0]),
+            pg.TimeGrid.uniform(1.0, 10),
+        )
+
+    @staticmethod
+    def _assert_standard(zs):
+        zs = np.asarray(zs)
+        assert abs(zs.mean()) <= 0.25
+        assert 0.75 <= zs.std(ddof=1) <= 1.15
+        assert np.mean(np.abs(zs) > 3.0) <= 0.02
+
+    def test_sharp_log_case(self):
+        model, f, grid = self._setup()
+        self._assert_standard([
+            ct.log_harnack_certificate(
+                f, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), self.N_PATHS,
+                pg.RngStream(seed, purpose="calibration-log"), grid=grid,
+            ).z_score
+            for seed in self.SEEDS
+        ])
+
+    def test_power_equality_case(self):
+        model, f, grid = self._setup()
+        self._assert_standard([
+            ct.power_harnack_certificate(
+                f, 2.0, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), self.N_PATHS,
+                pg.RngStream(seed, purpose="calibration-power"), grid=grid,
+            ).z_score
+            for seed in self.SEEDS
+        ])
 
 
 class TestPowerHarnack:
@@ -311,6 +369,51 @@ class TestGradientBound:
         )
         assert report.verdict == "inconclusive"
         assert any("raise n_paths or fd_step" in note for note in report.notes)
+
+
+class TestStencilReplay:
+    """The multi-start draw equals replaying one stream per start."""
+
+    GRID = pg.TimeGrid.uniform(1.0, 20)
+    LAW = pg.ClockLaw(bn.StableBernstein(0.75))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gradient_stencil(self, workers):
+        model = sde.make_model("ou", dim=2)
+        f = get_observable("sin1", 2)
+        x, step = np.array([0.3, -0.2]), 0.05
+        stream = pg.RngStream(44, purpose="replay-grad")
+        report = ct.gradient_certificate(
+            f, x, 1.0, model, self.LAW, CHUNK_SIZE + 17, stream, fd_step=step,
+            grid=self.GRID, workers=workers,
+        )
+        noise = stream.child(purpose="grad-stencil")
+        slopes = []
+        for offset in step * np.eye(2):
+            plus, minus = (
+                f(sde.terminal_states(model, start, self.GRID, self.LAW, CHUNK_SIZE + 17, noise))
+                for start in (x + offset, x - offset)
+            )
+            slopes.append(MCEstimate.from_samples((plus - minus) / (2.0 * step)))
+        best = max(slopes, key=lambda e: abs(e.mean))
+        assert report.lhs == best.power(2.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_coupling_property_pair(self, workers):
+        model = sde.make_model("zero", dim=2)
+        f = get_observable("capnorm", 2)
+        stream = pg.RngStream(45, purpose="replay-cpb")
+        report = ct.coupling_property_bound(
+            f, [0.0, 0.0], [0.5, 0.0], 1.0, model, self.LAW, CHUNK_SIZE + 17, stream,
+            grid=self.GRID, workers=workers,
+        )
+        common = stream.child(purpose="couple-bound")
+        f_x, f_y = (
+            f(sde.terminal_states(model, start, self.GRID, self.LAW, CHUNK_SIZE + 17, common))
+            for start in ([0.0, 0.0], [0.5, 0.0])
+        )
+        paired = MCEstimate.from_samples(f_x - f_y)
+        assert report.lhs == MCEstimate(mean=abs(paired.mean), stderr=paired.stderr, n=paired.n)
 
 
 class TestCouplingPropertyBound:

