@@ -203,7 +203,7 @@ def _tempered_stable_increments(theta, kappa, durations, gen, shape):
     _check_tempered_acceptance(theta, kappa, durations)
     out = np.empty(shape)
     remaining = np.ones(shape, dtype=bool)
-    dur = np.broadcast_to(durations, shape)
+    scales = np.broadcast_to(durations ** (1.0 / theta), shape)
     total_proposals = 0
     total_accepted = 0
     for _ in range(_REJECTION_ROUNDS):
@@ -211,8 +211,7 @@ def _tempered_stable_increments(theta, kappa, durations, gen, shape):
         n_left = idx[0].size
         if n_left == 0:
             break
-        scale = dur[idx] ** (1.0 / theta)
-        proposal = scale * _standard_positive_stable(theta, gen, n_left)
+        proposal = scales[idx] * _standard_positive_stable(theta, gen, n_left)
         accept = gen.random(n_left) <= np.exp(-kappa * proposal)
         total_proposals += n_left
         total_accepted += int(accept.sum())

@@ -405,17 +405,23 @@ def semigroup_estimate(f, x0, model: SdeModel, clock_law: ClockLaw, grid: TimeGr
 
 
 def _double_well_resolvent(t, h, rhs):
-    """Componentwise Newton for y (1 - h) + h y^3 = rhs (monotone in y)."""
-    rhs = np.asarray(rhs, dtype=float)
-    y = np.array(rhs)
-    for _ in range(80):
-        residual = y * (1.0 - h) + h * y**3 - rhs
-        slope = (1.0 - h) + 3.0 * h * y * y
-        step = residual / slope
-        y = y - step
-        if np.max(np.abs(step)) < 1e-13:
-            break
-    return y
+    """Real root y of y (1 - h) + h y^3 = rhs, componentwise, for 0 < h < 1.
+
+    For 0 < h < 1 the cubic is strictly increasing in y, so the root is
+    unique.  With k = sqrt((1 - h) / (3 h)) the identity
+    sinh(3u) = 4 sinh(u)^3 + 3 sinh(u) gives it in closed form:
+
+        y = 2 k sinh(arcsinh(rhs / (2 h k^3)) / 3).
+
+    For h >= 1 the cubic is not monotone and the resolvent not unique, so a
+    step outside (0, 1) raises ValueError.
+    """
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"double-well resolvent needs a step 0 < h < 1, got h={h}")
+    k = math.sqrt((1.0 - h) / (3.0 * h))
+    # 2 h k^3 = 2 k (1 - h) / 3, which stays finite for tiny h
+    u = np.arcsinh(np.asarray(rhs, dtype=float) * (1.5 / (k * (1.0 - h))))
+    return 2.0 * k * np.sinh(u / 3.0)
 
 
 def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> SdeModel:
@@ -423,7 +429,8 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
 
     * ``zero``        b = 0, K = 0
     * ``ou``          b = -rate * x, K = -rate
-    * ``double_well`` b = x - x^3 componentwise, K = 1
+    * ``double_well`` b = x - x^3 componentwise, K = 1; its semi-implicit
+      step needs every step size h < 1
     * ``rotating``    d = 2, skew rotation plus contraction, K = -contraction
 
     All zoo drifts are locally Lipschitz; merely continuous drifts with a
@@ -450,7 +457,7 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
         params = {"rate": rate, **params}
     elif name == "double_well":
         drift = DriftModel(
-            func=lambda t, x: x - x**3,
+            func=lambda t, x: x - x * x * x,
             one_sided_bound=lambda t: 1.0,
             implicit_solve=_double_well_resolvent,
         )

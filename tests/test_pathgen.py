@@ -304,6 +304,15 @@ class TestClockLaw:
         clocks = law.sample_coupling(grid, pg.RngStream(11, purpose="cpl").generator(), 50)
         assert np.all(np.diff(clocks, axis=1) > 0)
 
+    def test_regularized_clock_is_column_major(self):
+        # the steppers read one clock column per step; a row-major clock
+        # makes those reads strided and moves the last bits of the weights
+        grid = pg.TimeGrid.uniform(1.0, 64)
+        law = pg.ClockLaw(bn.GammaBernstein(4.0, 4.0), epsilon=0.05)
+        clocks = law.sample_coupling(grid, pg.RngStream(11, purpose="cpl").generator(), 50)
+        assert clocks.flags.f_contiguous
+        assert np.diff(clocks, axis=1)[:, 3].flags.c_contiguous
+
     def test_raw_clock_starts_at_zero(self):
         grid = pg.TimeGrid.uniform(1.0, 8)
         law = pg.ClockLaw(bn.GammaBernstein(1.0, 1.0))

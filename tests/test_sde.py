@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subharnack import bernstein as bn
 from subharnack import galerkin as gk
@@ -433,6 +435,39 @@ class TestSemigroupEstimate:
         ]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
+
+
+class TestDoubleWellResolvent:
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        h=st.floats(min_value=1e-6, max_value=0.999),
+        magnitudes=st.lists(st.floats(min_value=1e-12, max_value=1e6), min_size=1, max_size=50),
+    )
+    def test_root_is_accurate_odd_and_monotone(self, h, magnitudes):
+        mags = np.asarray(magnitudes)
+        rhs = np.sort(np.concatenate([-mags, mags]))
+        y = sde._double_well_resolvent(0.0, h, rhs)
+        # backward error: the residual against the size of its terms
+        scale = np.abs(rhs) + (1.0 - h) * np.abs(y) + h * np.abs(y) ** 3
+        residual = np.abs(y * (1.0 - h) + h * y * y * y - rhs)
+        assert np.all(residual <= 32 * self.EPS * scale)
+        assert np.all(np.abs(sde._double_well_resolvent(0.0, h, -rhs) + y) <= 4 * self.EPS * np.abs(y))
+        assert np.all(np.diff(y) >= 0.0)
+
+    @pytest.mark.parametrize("h", [1.0, 1.5, 0.0])
+    def test_step_outside_unit_interval_raises(self, h):
+        with pytest.raises(ValueError, match=f"h={h}"):
+            sde._double_well_resolvent(0.0, h, np.array([0.5, -2.0]))
+
+    def test_unit_step_raises_from_terminal_states(self):
+        model = sde.make_model("double_well", dim=1)
+        with pytest.raises(ValueError, match="h=1.0"):
+            sde.terminal_states(
+                model, [0.3], pg.TimeGrid.uniform(1.0, 1), pg.ClockLaw(bn.LinearBernstein()),
+                16, pg.RngStream(40, purpose="dw-unit-step"), method="semi_implicit",
+            )
 
 
 class TestModelZoo:
