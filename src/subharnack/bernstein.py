@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy.special import gammaln
 
 __all__ = [
     "BernsteinFunction",
@@ -197,6 +195,8 @@ def _log_tail_bound(bf, k, t, cutoff):
 def _moment_scale_guess(bf, k, t):
     """Rough log-scale of E[1/S(t)^k], used to set the tail threshold."""
     if isinstance(bf, (StableBernstein, TemperedStableBernstein)):
+        from scipy.special import gammaln
+
         th = bf.theta
         return gammaln(k / th) - gammaln(k) - math.log(th) - (k / th) * math.log(t)
     return -k * math.log(max(t, 1e-300))
@@ -209,6 +209,11 @@ def inverse_moment(bf: BernsteinFunction, k, t, abs_tol=1e-9) -> float:
     variant with a*t <= k, whose Bernstein function grows too slowly) and
     ``QuadratureError`` when the requested tolerance is not reached.
     """
+    # scipy is imported here, not at module level: it is most of the
+    # package's import time, and only this quadrature needs it
+    from scipy.integrate import quad
+    from scipy.special import gammaln
+
     k = float(k)
     t = float(t)
     if k <= 0 or t <= 0:
@@ -259,9 +264,9 @@ def inverse_moment(bf: BernsteinFunction, k, t, abs_tol=1e-9) -> float:
         r = math.exp(w)
         return math.exp(k * w - t * float(bf(r)) - lgk)
 
-    value1, err1 = _integrate.quad(inner, 0.0, inner_upper, epsabs=1e-13, epsrel=1e-12, limit=400)
+    value1, err1 = quad(inner, 0.0, inner_upper, epsabs=1e-13, epsrel=1e-12, limit=400)
     if cutoff > 1.0:
-        value2, err2 = _integrate.quad(
+        value2, err2 = quad(
             outer, 0.0, math.log(cutoff), epsabs=1e-13, epsrel=1e-12, limit=1000
         )
     else:

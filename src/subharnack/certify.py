@@ -173,7 +173,9 @@ class RateConstantResult:
     A grid time where more than 1% of the paths carry zero clock mass is
     flagged divergent and excluded from the infimum (heavy clocks really do
     have infinite moments at small times); the result as a whole is
-    divergent only when no admissible time remains.
+    divergent only when no admissible time remains.  A time whose estimate
+    has infinite variance (gamma clocks with a*t <= 2) keeps its sample
+    mean, gets stderr inf and is excluded from the infimum too.
     """
 
     t_grid: np.ndarray
@@ -225,22 +227,28 @@ def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=
     with np.errstate(divide="ignore"):
         values = np.where(partials > 0.0, lam_sq / np.maximum(partials, 1e-300), np.inf)
     per_t_infinite = np.isinf(values).mean(axis=0)
+    heavy = np.zeros(t_grid.size, dtype=bool)
     if isinstance(clock_law.bernstein, bn.GammaBernstein):
-        # first inverse moment of a gamma subordinator is infinite at a*t <= 1
-        per_t_infinite = np.maximum(
-            per_t_infinite, (clock_law.bernstein.a * t_grid <= 1.0).astype(float)
-        )
+        # E[1/S(t)^k] of a gamma subordinator is infinite at a*t <= k: the
+        # mean diverges at a*t <= 1, the variance at a*t <= 2
+        at = clock_law.bernstein.a * t_grid
+        per_t_infinite = np.maximum(per_t_infinite, (at <= 1.0).astype(float))
+        heavy = at <= 2.0
     per_t = []
     for j in range(t_grid.size):
         col = values[:, j]
         if np.isinf(col).any():
             per_t.append(MCEstimate(mean=math.inf, stderr=math.inf, n=col.size))
+        elif heavy[j]:
+            per_t.append(MCEstimate(mean=float(col.mean()), stderr=math.inf, n=col.size))
         else:
             per_t.append(MCEstimate.from_samples(col))
     admissible = [
         j
         for j, est in enumerate(per_t)
-        if math.isfinite(est.mean) and per_t_infinite[j] <= DIVERGENCE_FRACTION
+        if math.isfinite(est.mean)
+        and math.isfinite(est.stderr)
+        and per_t_infinite[j] <= DIVERGENCE_FRACTION
     ]
     if admissible:
         j_min = min(admissible, key=lambda j: per_t[j].mean)

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RegularizedClock, RngStream, TimeGrid, bm_increments
-from .sde import IntegrationError, SdeModel, Trajectory, plain_chunk
+from .sde import SdeModel, Trajectory, _check_states, plain_chunk
 from .stats import MCEstimate
 
 __all__ = [
@@ -56,7 +55,7 @@ def clock_decay(k_bound, times, d_clock=None):
     it is None without them.
     """
     k_vals = np.asarray([k_bound(t) for t in times], dtype=float)
-    k_cum = cumulative_trapezoid(k_vals, times, initial=0.0)
+    k_cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * (k_vals[1:] + k_vals[:-1]) / 2.0)))
     decay = np.exp(-k_cum)
     if d_clock is None:
         return k_cum, decay, None
@@ -225,9 +224,7 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
         coupled |= just_coupled
         np.copyto(Y, X, where=coupled[:, None])
 
-        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-            bad = ~(np.all(np.isfinite(X), axis=1) & np.all(np.isfinite(Y), axis=1))
-            raise IntegrationError(step_index=i, n_failed=int(bad.sum()))
+        _check_states(i, X, Y)
         if keep_path:
             hist_x.append(X.copy())
             hist_y.append(Y.copy())

@@ -52,16 +52,33 @@ __all__ = [
 ]
 
 
+# Largest state magnitude a stepper accepts.  Beyond it |x|^2 overflows, so
+# distances, weights and quadratic observables are garbage even while the
+# states stay finite, as an unstable explicit step on a stiff drift gives.
+_STATE_BOUND = 1e150
+
+
 class IntegrationError(RuntimeError):
-    """Raised when stepping produces non-finite states."""
+    """Raised when stepping produces non-finite or out-of-bound states."""
 
     def __init__(self, step_index, n_failed=1):
         super().__init__(
-            f"non-finite state at step {step_index} in {n_failed} path(s); "
-            "the drift may be stiff or the grid too coarse"
+            f"non-finite state or |x| > {_STATE_BOUND:g} at step {step_index} in "
+            f"{n_failed} path(s); the drift may be stiff or the grid too coarse"
         )
         self.step_index = step_index
         self.n_failed = n_failed
+
+
+def _check_states(step_index, *states):
+    """Raise ``IntegrationError`` when an entry is NaN or beyond ``_STATE_BOUND``.
+
+    Each (n, d) array costs one abs and one max; a NaN max fails the test.
+    """
+    if all(np.abs(s).max() <= _STATE_BOUND for s in states):
+        return
+    ok = np.all([np.all(np.abs(s) <= _STATE_BOUND, axis=-1) for s in states], axis=0)
+    raise IntegrationError(step_index=step_index, n_failed=int((~ok).sum()))
 
 
 @dataclass(frozen=True)
@@ -299,9 +316,7 @@ def euler_steps(model: SdeModel, x0s, grid: TimeGrid, dw, keep_path=False, metho
         noise = model.diffusion.apply(t, dw[:, i, :])
         dv = v_values[i + 1] - v_values[i]
         states = model.drift_step(t, h, states, method) + noise + dv
-        if not np.isfinite(states).all():
-            bad = ~np.all(np.isfinite(states), axis=-1)
-            raise IntegrationError(step_index=i, n_failed=int(bad.sum()))
+        _check_states(i, states)
         if keep_path:
             history.append(states.copy())
     if keep_path:

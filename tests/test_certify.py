@@ -145,6 +145,27 @@ class TestRateConstant:
         assert result.infinite_fraction > 0.01
         assert result.divergent
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_variance_times_are_inadmissible(self):
+        # gamma(4, 1): a*t = 1, 2, 3, 4.  Var(1/S_t) is infinite at a*t <= 2,
+        # so those times keep their sample mean but carry no error bar
+        model = sde.make_model("zero", dim=1)
+        law = pg.ClockLaw(bn.GammaBernstein(4.0, 1.0))
+        result = ct.harnack_rate_constant(
+            model, law, 1.0, t_grid=np.array([0.25, 0.5, 0.75, 1.0]), n_paths=2000,
+            stream=pg.RngStream(5, purpose="rc5"),
+        )
+        assert [math.isinf(est.stderr) for est in result.per_t] == [True, True, False, False]
+        assert all(math.isfinite(est.mean) for est in result.per_t)
+        assert list(result.per_t_infinite[:2]) == [1.0, 0.0]
+        assert not result.divergent
+        # gamma(1.5, 1) at t = 0.5 and 1: a*t = 0.75 and 1.5, so no time is admissible
+        only_heavy = ct.harnack_rate_constant(
+            model, pg.ClockLaw(bn.GammaBernstein(1.5, 1.0)), 1.0,
+            t_grid=np.array([0.5, 1.0]), n_paths=2000, stream=pg.RngStream(6, purpose="rc6"),
+        )
+        assert only_heavy.divergent
+
 
 class TestLogHarnack:
     def test_jensen_consistency_equal_points(self):

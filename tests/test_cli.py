@@ -264,6 +264,20 @@ class TestCommandLine:
         expected = gamma_fn(1 + 1 / 0.75) * 0.5 ** (-1 / 0.75)
         assert report["value"] == pytest.approx(expected, rel=1e-9)
 
+    def test_import_leaves_scipy_quadrature_unloaded(self):
+        # scipy.integrate and scipy.special are most of the cold start; only
+        # inverse_moment needs them, and it imports them when called
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, subharnack.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_unreadable_config(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -338,6 +338,23 @@ class TestCoupledStepping:
         assert err.value.step_index == step
         assert err.value.n_failed == expected
 
+    def test_stiff_step_raises_while_finite(self):
+        # a valid but loose bound K = 0 keeps the clock decay finite; the
+        # explicit step multiplies the gap by -15.4 per step, so the states
+        # pass the bound near step 126 while still finite
+        model = sde.SdeModel(
+            dim=1,
+            drift=sde.DriftModel(func=lambda t, x: -4096.0 * x, one_sided_bound=lambda t: 0.0),
+            diffusion=sde.DiffusionModel.isotropic(1.0),
+            perturbation=sde.PerturbationModel.zero(1),
+        )
+        grid = pg.TimeGrid.uniform(1.0, 250)
+        law = pg.ClockLaw(bn.LinearBernstein())
+        with pytest.raises(sde.IntegrationError, match="1e\\+150") as err:
+            cp.run_coupled_batch(model, [1.0], [0.0], grid, law, 64, pg.RngStream(1))
+        assert 120 <= err.value.step_index <= 132
+        assert err.value.n_failed == 64
+
 
 def _galerkin_terminals(workers):
     model = gk.SemilinearModel(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from subharnack import bernstein as bn
@@ -34,6 +35,43 @@ def export_paths_csv(file_path, grid, subordinator=None, clock=None, bm=None):
         writer.writerow([name for name, _ in columns])
         for i in range(t.size):
             writer.writerow([repr(float(col[i])) for _, col in columns])
+
+
+def brownian_at_clocks(clock_value_arrays, dimension, gen):
+    """Evaluate one Brownian path at several interleaved clock arrays.
+
+    All arrays see the same underlying Brownian motion: increments are drawn
+    on the union of the requested clock values, so comparisons across
+    regularization levels use fixed noise.
+    """
+    pool = np.unique(np.concatenate([np.concatenate(([0.0], np.ravel(c))) for c in clock_value_arrays]))
+    steps = gen.standard_normal((pool.size - 1, dimension)) * np.sqrt(np.diff(pool))[:, None]
+    walk = np.vstack([np.zeros((1, dimension)), np.cumsum(steps, axis=0)])
+    return [walk[np.searchsorted(pool, np.ravel(c))].reshape(np.shape(c) + (dimension,)) for c in clock_value_arrays]
+
+
+def kanter_reference(theta, gen, size):
+    """Kanter's transform with np.sin on the draws of ``_standard_positive_stable``."""
+    u = (gen.random(size) * (1.0 - 2e-16) + 1e-16) * np.pi
+    e = np.maximum(gen.standard_exponential(size), 1e-300)
+    log_a = (
+        theta * np.log(np.sin(theta * u))
+        + (1.0 - theta) * np.log(np.sin((1.0 - theta) * u))
+        - np.log(np.sin(u))
+    ) / (1.0 - theta)
+    return np.exp(((1.0 - theta) / theta) * (log_a - np.log(e)))
+
+
+def regularized_reference(base_times, comb_times, comb_values, epsilon):
+    """The window average plus slope floor, on whole arrays at once."""
+    n = comb_values.shape[0]
+    cum = np.concatenate(
+        [np.zeros((n, 1)), np.cumsum(comb_values[:, :-1] * np.diff(comb_times), axis=1)], axis=1
+    )
+    q_right = base_times + epsilon
+    right_idx = np.clip(np.searchsorted(comb_times, q_right, side="right") - 1, 0, comb_times.size - 2)
+    integral_right = cum[:, right_idx] + comb_values[:, right_idx] * (q_right - comb_times[right_idx])
+    return (integral_right - cum[:, : base_times.size]) / epsilon + epsilon * base_times
 
 
 class TestTimeGrid:
@@ -82,8 +120,11 @@ class TestSubordinatorSampling:
             (bn.StableBernstein(0.5), "stable"),
             (bn.GammaBernstein(1.0, 1.0), "gamma"),
             (bn.TemperedStableBernstein(0.6, 0.5), "tempered"),
+            (bn.StableBernstein(0.3), "stable-0.3"),
+            (bn.StableBernstein(0.75), "stable-0.75"),
+            (bn.StableBernstein(0.95), "stable-0.95"),
         ],
-        ids=["stable", "gamma", "tempered"],
+        ids=["stable", "gamma", "tempered", "stable-0.3", "stable-0.75", "stable-0.95"],
     )
     def test_laplace_transform_match(self, bf, tag):
         gen = pg.RngStream(101, purpose=f"laplace-{tag}").generator()
@@ -152,6 +193,124 @@ class TestSubordinatorSampling:
         with pytest.raises(pg.RejectionError, match="acceptance rate 6.77"):
             pg._check_tempered_acceptance(1.0, 9.6, durations)
         pg._check_tempered_acceptance(0.5, 1e6, np.zeros(3))
+
+
+class TestSinReflected:
+    @staticmethod
+    def ulp_error(a):
+        got = pg._sin_reflected(a)
+        ref = np.array([math.sin(x) for x in a])
+        return np.abs(got - ref) / np.spacing(ref)
+
+    def test_dense_grid(self):
+        a = np.linspace(0.0, np.pi, 200_001)[1:-1]
+        assert self.ulp_error(a).max() <= 2.0
+
+    @pytest.mark.parametrize(
+        "a,bound",
+        [
+            (np.geomspace(1e-16, 1e-8, 2001), 1.0),
+            (np.pi / 2 + np.linspace(-1e-6, 1e-6, 2001), 2.0),
+            (np.pi - np.geomspace(1e-16, 1e-2, 2001), 1.0),
+        ],
+        ids=["near-0", "near-half-pi", "near-pi"],
+    )
+    def test_edges(self, a, bound):
+        # relative accuracy as a -> pi is what keeps Kanter's heavy tail
+        assert self.ulp_error(a).max() <= bound
+
+    def test_out_buffer_and_argument(self):
+        a = np.linspace(0.1, 3.0, 7)
+        kept = a.copy()
+        out = np.empty_like(a)
+        assert pg._sin_reflected(a, out=out) is out
+        assert np.array_equal(a, kept)
+
+
+class TestStableSampler:
+    def test_half_stable_is_levy(self):
+        # theta = 1/2: X = 1 / (4 Z^2), so P(X <= x) = erfc(1 / (2 sqrt x))
+        gen = pg.RngStream(121, purpose="kanter-levy").generator()
+        draws = pg._standard_positive_stable(0.5, gen, N_LAPLACE)
+        cdf = lambda x: special.erfc(0.5 / np.sqrt(x))  # noqa: E731
+        assert sps.kstest(draws, cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("size", [1, 5, (3, 40_000)], ids=["one", "small", "blocks"])
+    def test_matches_the_libm_transform(self, theta, size):
+        # same draws in the same order; only the sines' last bits differ
+        got = pg._standard_positive_stable(theta, pg.RngStream(122).generator(), size)
+        ref = kanter_reference(theta, pg.RngStream(122).generator(), size)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / ref) < 1e-13
+
+    def test_tempered_acceptance_rate(self):
+        # a stable proposal over dt is kept with probability exp(-kappa^theta dt)
+        proposals = []
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_exponential(self, size):
+                proposals.append(int(np.prod(size)))
+                return self.gen.standard_exponential(size)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        bf = bn.TemperedStableBernstein(0.75, 1.0)
+        gen = Counting(pg.RngStream(123, purpose="tempered-rate").generator())
+        draws = pg.sample_subordinator_increments(bf, np.full(200, 0.5), gen, 500)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+        p = math.exp(-0.5)
+        total = sum(proposals)
+        assert abs(draws.size / total - p) < 4.0 * math.sqrt(p * (1 - p) / total)
+
+
+class TestBlockedClock:
+    GRID = pg.TimeGrid.uniform(1.0, 125)
+
+    def comb(self, law, n, seed):
+        comb_times = law._extended_times(self.GRID)
+        gen = pg.RngStream(seed, purpose="blocked").generator()
+        inc = pg.sample_subordinator_increments(law.bernstein, np.diff(comb_times), gen, n)
+        return comb_times, np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
+
+    def sizes(self):
+        # one row, less than one block, and a partial third block
+        width = pg.ClockLaw(bn.LinearBernstein(), epsilon=0.05)._extended_times(self.GRID).size
+        rows = pg._rows_per_block(width)
+        assert rows > 20
+        return [1, 5, 2 * rows + 17]
+
+    @pytest.mark.parametrize("bf", [bn.GammaBernstein(4.0, 4.0), bn.StableBernstein(0.75)], ids=["gamma", "stable"])
+    def test_coupling_clock_equals_whole_array_formula(self, bf):
+        law = pg.ClockLaw(bf, epsilon=0.05)
+        for n in self.sizes():
+            comb_times, values = self.comb(law, n, 130)
+            ref = regularized_reference(self.GRID.times, comb_times, values, 0.05)
+            got = law.sample_coupling(self.GRID, pg.RngStream(130, purpose="blocked").generator(), n)
+            assert got.flags.f_contiguous
+            assert np.array_equal(got, ref)
+            assert np.array_equal(pg.regularized_values(self.GRID.times, comb_times, values, 0.05), ref)
+
+    def test_raw_clock_equals_whole_array_cumsum(self):
+        law = pg.ClockLaw(bn.GammaBernstein(4.0, 4.0))
+        for n in self.sizes():
+            inc = pg.sample_subordinator_increments(
+                law.bernstein, self.GRID.step_sizes, pg.RngStream(131).generator(), n
+            )
+            ref = np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
+            assert np.array_equal(law.sample_raw(self.GRID, pg.RngStream(131).generator(), n), ref)
+
+    def test_regularized_values_fills_out(self):
+        law = pg.ClockLaw(bn.GammaBernstein(4.0, 4.0), epsilon=0.05)
+        comb_times, values = self.comb(law, 9, 132)
+        out = np.full((12, self.GRID.times.size), np.nan)
+        pg.regularized_values(self.GRID.times, comb_times, values, 0.05, out=out[2:11])
+        assert np.array_equal(out[2:11], regularized_reference(self.GRID.times, comb_times, values, 0.05))
+        assert np.isnan(out[[0, 1, 11]]).all()
 
 
 class TestRegularize:
@@ -326,7 +485,7 @@ class TestBrownianAtClocks:
         gen = pg.RngStream(13, purpose="union").generator()
         coarse = np.array([0.0, 0.5, 1.0])
         fine = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        w_coarse, w_fine = pg.brownian_at_clocks([coarse, fine], 2, gen)
+        w_coarse, w_fine = brownian_at_clocks([coarse, fine], 2, gen)
         np.testing.assert_array_equal(w_coarse[0], w_fine[0])
         np.testing.assert_array_equal(w_coarse[1], w_fine[2])
         np.testing.assert_array_equal(w_coarse[2], w_fine[4])
@@ -334,7 +493,7 @@ class TestBrownianAtClocks:
     def test_increment_variance(self):
         gen = pg.RngStream(14, purpose="union-var").generator()
         clock = np.linspace(0.0, 4.0, 3)
-        (w,) = pg.brownian_at_clocks([np.tile(clock, 1)], 1, gen)
+        (w,) = brownian_at_clocks([np.tile(clock, 1)], 1, gen)
         assert w.shape == (3, 1)
 
 

@@ -89,6 +89,18 @@ class TestIntegrate:
             sde.integrate([10.0], blow_up, zero_noise(grid))
         assert err.value.step_index >= 0
 
+    def test_stiff_explicit_step_raises_while_finite(self):
+        # h * rate = 16.4: each explicit step multiplies the state by -15.4,
+        # so |X| passes the state bound near step 126, long before it
+        # overflows (the terminal would be a finite 5.9e296)
+        model = sde.make_model("ou", dim=1, rate=4096.0)
+        grid = pg.TimeGrid.uniform(1.0, 250)
+        law = pg.ClockLaw(bn.LinearBernstein())
+        with pytest.raises(sde.IntegrationError, match="1e\\+150") as err:
+            sde.terminal_states(model, [1.0], grid, law, 64, pg.RngStream(0))
+        assert 120 <= err.value.step_index <= 132
+        assert err.value.n_failed == 64
+
     def test_misaligned_noise_rejected(self):
         grid = pg.TimeGrid.uniform(1.0, 10)
         other = pg.TimeGrid.uniform(2.0, 10)
@@ -173,8 +185,8 @@ class TestBatchedStepping:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_integration_error_counts_failed_paths(self):
-        # rows overflow at different steps; rows at zero never do.  The
-        # oracle runs the same explicit recurrence row by row.
+        # rows leave the state bound at different steps; rows at zero never
+        # do.  The oracle runs the same explicit recurrence row by row.
         grid = pg.TimeGrid.uniform(1.0, 50)
         x0s = np.array([
             [10.0, 0.0], [0.0, 0.0], [10.0, 10.0], [0.01, 0.0], [0.0, 3.0],
@@ -185,7 +197,7 @@ class TestBatchedStepping:
             for row, x in enumerate(x0s):
                 for i, h in enumerate(grid.step_sizes):
                     x = x + x**3 * 1e6 * h
-                    if not np.all(np.isfinite(x)):
+                    if not np.all(np.abs(x) <= sde._STATE_BOUND):
                         first[row] = i
                         break
         step = int(first.min())
@@ -282,6 +294,14 @@ class TestSynchronousContraction:
         assert np.all(gaps <= bound + 1e-12)
 
 
+def brownian_at_clocks(clock_value_arrays, dimension, gen):
+    """One Brownian path evaluated at each clock array, drawn on their union."""
+    pool = np.unique(np.concatenate([np.concatenate(([0.0], np.ravel(c))) for c in clock_value_arrays]))
+    steps = gen.standard_normal((pool.size - 1, dimension)) * np.sqrt(np.diff(pool))[:, None]
+    walk = np.vstack([np.zeros((1, dimension)), np.cumsum(steps, axis=0)])
+    return [walk[np.searchsorted(pool, np.ravel(c))].reshape(np.shape(c) + (dimension,)) for c in clock_value_arrays]
+
+
 def regularized_clock_ladder(bf, grid, eps_levels, seed, purpose="lemma-clock"):
     """One jointly sampled subordinator plus its regularizations at each eps."""
     h = grid.step_sizes[0]
@@ -333,7 +353,7 @@ class TestRegularizationConvergence:
         for seed in range(n_paths):
             raw, clocks = regularized_clock_ladder(bn.StableBernstein(0.75), grid, self.EPS_LEVELS, 900 + seed)
             w_gen = pg.RngStream(980 + seed, purpose="lemma-union").generator()
-            paths_w = pg.brownian_at_clocks(list(clocks) + [raw], 1, w_gen)
+            paths_w = brownian_at_clocks(list(clocks) + [raw], 1, w_gen)
             base = sde.integrate(
                 [1.0], model,
                 pg.TimeChangedBMPath(grid=grid, dimension=1, increments=np.diff(paths_w[-1], axis=0)),
