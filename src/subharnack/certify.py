@@ -8,16 +8,21 @@ statistical verdict:
 
 * ``certified``    slack z-score >= -3
 * ``violated``     slack z-score <  -5
-* ``inconclusive`` in between, or a divergence was detected
+* ``inconclusive`` in between, or the report carries a note
 
 The +-3 / +-5 thresholds bound the false-violation probability below 1e-5
-per report under the Gaussian limit.
+per report under the Gaussian limit.  Any note (a divergent rate constant
+or factor, an infinite clock moment, a finite difference lost in its noise)
+makes the verdict inconclusive.  So does a slack or slack stderr that is
+not finite: z is then NaN, and a report with no other note says why.
 
-The log-Harnack, gradient and coupling-property certificates draw the
-clock and the noise once per path and step all of their starting points
-through that draw (common random numbers, one multi-start
-``terminal_states`` call).  The log-Harnack LHS and RHS keep their marginal
-estimates and stderrs; its z-score uses the stderr of the slack on the
+Every certificate draws its paths through ``_f_terminals`` (f at each
+start's terminals from one multi-start ``terminal_states`` call per
+stream), takes the per-path clock sums behind the rate constant and the
+power factor from ``_cost_partials``, and is assembled by ``_report``.  The
+log-Harnack, gradient and coupling-property certificates step all of their
+starting points through one clock and noise draw per path (common random
+numbers).  The log-Harnack z-score uses the stderr of the slack on that
 joint sample: per path, the influence value f(X_T) / P_T f(x) - log f(Y_T)
 (the first-order delta-method expansion of the slack) carries the paired
 Monte Carlo error, and the independently estimated rate constant adds its
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .coupling import clock_decay
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RngStream, TimeGrid, sample_subordinator_increments
 from .sde import SdeModel, terminal_states
-from .stats import MCEstimate, variance_estimate
+from .stats import MCEstimate, variance_estimate, weighted_slope
 
 __all__ = [
     "MCEstimate",
@@ -68,6 +73,8 @@ DIVERGENCE_FRACTION = 0.01
 
 
 def _z_score(slack, combined_stderr):
+    if not (math.isfinite(slack) and math.isfinite(combined_stderr)):
+        return math.nan
     if combined_stderr > 0:
         return slack / combined_stderr
     if slack > 0:
@@ -103,18 +110,23 @@ class HarnackReport:
     seed: int | None = None
 
     @classmethod
-    def build(cls, inequality, params, lhs, rhs, form="", notes=(), runtime_seconds=0.0, seed=None, force_inconclusive=False, slack_stderr=None):
-        """Report with z = slack / slack_stderr.
+    def build(cls, inequality, params, lhs, rhs, form="", notes=(), runtime_seconds=0.0, seed=None, slack_stderr=None):
+        """Report with z = slack / slack_stderr; any note makes it inconclusive.
 
         ``slack_stderr`` defaults to the stderr of a difference of
         independent sides, hypot(lhs.stderr, rhs.stderr); certificates whose
-        sides share draws pass the paired stderr instead.
+        sides share draws pass the paired stderr instead.  A non-finite
+        slack or stderr gives z = NaN and, failing any other note, a note
+        of its own.
         """
         slack = rhs.mean - lhs.mean
         if slack_stderr is None:
             slack_stderr = math.hypot(lhs.stderr, rhs.stderr)
         z = _z_score(slack, slack_stderr)
-        verdict = INCONCLUSIVE if force_inconclusive else _verdict(z)
+        notes = tuple(notes)
+        if math.isnan(z) and not notes:
+            notes = ("slack or its standard error is not finite",)
+        verdict = INCONCLUSIVE if notes else _verdict(z)
         return cls(
             inequality=inequality,
             params=params,
@@ -125,7 +137,7 @@ class HarnackReport:
             z_score=z,
             verdict=verdict,
             form=form,
-            notes=tuple(notes),
+            notes=notes,
             runtime_seconds=runtime_seconds,
             seed=seed,
         )
@@ -154,16 +166,6 @@ def default_t_grid(horizon):
     which can only loosen the certified right-hand side.
     """
     return np.geomspace(horizon / 1000.0, horizon, 32)
-
-
-def _rate_sim_times(horizon, t_grid, resolution=256):
-    pts = np.unique(
-        np.concatenate([[0.0], np.linspace(0.0, horizon, resolution + 1), t_grid])
-    )
-    idx = np.searchsorted(pts, t_grid)
-    if not np.allclose(pts[idx], t_grid):
-        raise AssertionError("t grid points must be simulation knots")
-    return pts, idx
 
 
 @dataclass(frozen=True)
@@ -207,23 +209,37 @@ def _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, work
     return map_path_chunks(n_paths, stream, run_chunk, workers)
 
 
-def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=None, n_paths=10_000, stream: RngStream = None, workers=1, resolution=256) -> RateConstantResult:
-    """Monte Carlo estimate of the Harnack cost rate and its infimum over t.
+def _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, resolution):
+    """The t grid, per-path int_0^t exp(-2K) dS on it and lambda_t^2 there.
 
-    Paths with zero clock mass before a grid time contribute +inf there; a
-    time with more than 1% infinite paths makes the result divergent.
+    The sums run on ``resolution`` uniform steps refined by the t grid.
     """
     if t_grid is None:
         t_grid = default_t_grid(horizon)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0) or np.any(t_grid > horizon + 1e-12):
         raise ValueError("t grid must lie inside (0, T]")
+    sim_times = np.unique(
+        np.concatenate([[0.0], np.linspace(0.0, horizon, resolution + 1), t_grid])
+    )
+    t_idx = np.searchsorted(sim_times, t_grid)
+    if not np.allclose(sim_times[t_idx], t_grid):
+        raise AssertionError("t grid points must be simulation knots")
+    partials = _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, workers)
+    lam_sq = np.asarray([model.lambda_bound(t) ** 2 for t in t_grid])
+    return t_grid, partials, lam_sq
+
+
+def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=None, n_paths=10_000, stream: RngStream = None, workers=1, resolution=256) -> RateConstantResult:
+    """Monte Carlo estimate of the Harnack cost rate and its infimum over t.
+
+    Paths with zero clock mass before a grid time contribute +inf there; a
+    time with more than 1% infinite paths makes the result divergent.
+    """
     if n_paths < 1000:
         raise ValueError("rate constant estimation needs at least 1000 paths")
     stream = stream or RngStream(0, purpose="rate")
-    sim_times, t_idx = _rate_sim_times(horizon, t_grid, resolution)
-    partials = _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, workers)
-    lam_sq = np.asarray([model.lambda_bound(t) ** 2 for t in t_grid])
+    t_grid, partials, lam_sq = _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, resolution)
     with np.errstate(divide="ignore"):
         values = np.where(partials > 0.0, lam_sq / np.maximum(partials, 1e-300), np.inf)
     per_t_infinite = np.isinf(values).mean(axis=0)
@@ -289,13 +305,8 @@ def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_
     """
     if p <= 1:
         raise ValueError("power-Harnack exponent requires p > 1")
-    if t_grid is None:
-        t_grid = default_t_grid(horizon)
-    t_grid = np.asarray(t_grid, dtype=float)
     stream = stream or RngStream(0, purpose="factor")
-    sim_times, t_idx = _rate_sim_times(horizon, t_grid, resolution)
-    partials = _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, workers)
-    lam_sq = np.asarray([model.lambda_bound(t) ** 2 for t in t_grid])
+    _, partials, lam_sq = _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, resolution)
     coeff = p * lam_sq * dist_sq / (2.0 * (p - 1.0) ** 2)
     with np.errstate(divide="ignore", over="ignore"):
         exponents = np.where(partials > 0.0, coeff / np.maximum(partials, 1e-300), np.inf)
@@ -308,15 +319,32 @@ def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_
     return estimate, infinite_fraction
 
 
-def _model_summary(model: SdeModel, clock_law: ClockLaw, extra=None):
-    out = {
-        "model": model.label,
-        "model_params": {k: v for k, v in model.params.items()},
-        "clock": clock_law.bernstein.to_config(),
-    }
-    if extra:
-        out.update(extra)
-    return out
+def _f_terminals(f, model, starts, grid, clock_law, n_paths, stream, workers, method):
+    """f at the terminals of each start, all starts driven by one draw per path."""
+    finals = terminal_states(model, np.stack(starts), grid, clock_law, n_paths, stream, workers=workers, method=method)
+    return [np.asarray(f(finals[:, k]), dtype=float) for k in range(len(starts))]
+
+
+def _rate_term(model, clock_law, horizon, t_grid, n_paths, stream, workers, rate=None):
+    """The rate constant on max(1000, n/10) paths, unless given, with its notes."""
+    rate = rate or harnack_rate_constant(
+        model, clock_law, horizon, t_grid=t_grid, n_paths=max(1000, n_paths // 10),
+        stream=stream, workers=workers,
+    )
+    notes = [f"rate constant divergent: {rate.infinite_fraction:.2%} of paths infinite"] if rate.divergent else []
+    return rate, notes
+
+
+def _report(inequality, f, model, clock_law, params, lhs, rhs, notes, started, stream, form="", slack_stderr=None):
+    """The report, with the model, clock and observable merged into params."""
+    params = {"model": model.label, "model_params": dict(model.params),
+              "clock": clock_law.bernstein.to_config(),
+              "observable": getattr(f, "describe", lambda: str(f))(), **params}
+    return HarnackReport.build(
+        inequality, params, lhs, rhs, form=form, notes=notes,
+        runtime_seconds=time.perf_counter() - started, seed=stream.master_seed,
+        slack_stderr=slack_stderr,
+    )
 
 
 def log_harnack_certificate(f, x, y, horizon, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, grid: TimeGrid = None, t_grid=None, workers=1, rate_result: RateConstantResult | None = None, method="euler") -> HarnackReport:
@@ -330,53 +358,27 @@ def log_harnack_certificate(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     quadrature with the independent rate-constant term.
     """
     started = time.perf_counter()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     grid = grid or TimeGrid.uniform(horizon, 500)
     dist_sq = float(np.sum((x - y) ** 2))
 
-    finals = terminal_states(model, np.stack([x, y]), grid, clock_law, n_paths, stream.child(purpose="log-pair"), workers=workers, method=method)
-    f_y = np.asarray(f(finals[:, 1]), dtype=float)
-    if np.any(f_y <= 0.0):
+    f_x, f_y = _f_terminals(f, model, [x, y], grid, clock_law, n_paths, stream.child(purpose="log-pair"), workers, method)
+    if np.any(f_y <= 0.0) or np.any(f_x <= 0.0):
         raise ValueError("log-Harnack needs strictly positive f; found f <= 0 on a sample")
     lhs = MCEstimate.from_samples(np.log(f_y))
-
-    f_x = np.asarray(f(finals[:, 0]), dtype=float)
-    if np.any(f_x <= 0.0):
-        raise ValueError("log-Harnack needs strictly positive f; found f <= 0 on a sample")
     base = MCEstimate.from_samples(f_x)
 
-    rate = rate_result or harnack_rate_constant(
-        model, clock_law, horizon, t_grid=t_grid, n_paths=max(1000, n_paths // 10),
-        stream=stream.child(purpose="log-rate"), workers=workers,
-    )
-    notes = []
-    force_inconclusive = False
-    if rate.divergent:
-        notes.append(
-            f"rate constant divergent: {rate.infinite_fraction:.2%} of paths infinite"
-        )
-        force_inconclusive = True
+    rate, notes = _rate_term(model, clock_law, horizon, t_grid, n_paths, stream.child(purpose="log-rate"), workers, rate_result)
     cost = rate.infimum.scaled(dist_sq / 2.0)
     rhs = base.log().plus(cost)
     paired = MCEstimate.from_samples(f_x / base.mean - np.log(f_y))
     log_bias = base.stderr**2 / (2.0 * base.mean**2)  # as in MCEstimate.log
-    slack_stderr = math.hypot(paired.stderr + log_bias, cost.stderr)
-    params = _model_summary(
-        model, clock_law,
-        {"x": x.tolist(), "y": y.tolist(), "T": horizon, "n_paths": n_paths,
-         "observable": getattr(f, "describe", lambda: str(f))(),
-         "argmin_t": rate.argmin_t,
-         "cost_constant": rate.infimum.mean},
-    )
-    return HarnackReport.build(
-        "log-harnack", params, lhs, rhs,
+    params = {"x": x.tolist(), "y": y.tolist(), "T": horizon, "n_paths": n_paths,
+              "argmin_t": rate.argmin_t, "cost_constant": rate.infimum.mean}
+    return _report(
+        "log-harnack", f, model, clock_law, params, lhs, rhs, notes, started, stream,
         form="infimum outside the expectation",
-        notes=notes,
-        runtime_seconds=time.perf_counter() - started,
-        seed=stream.master_seed,
-        force_inconclusive=force_inconclusive,
-        slack_stderr=slack_stderr,
+        slack_stderr=math.hypot(paired.stderr + log_bias, cost.stderr),
     )
 
 
@@ -385,53 +387,40 @@ def power_harnack_certificate(f, p, x, y, horizon, model: SdeModel, clock_law: C
     started = time.perf_counter()
     if p <= 1:
         raise ValueError("power-Harnack needs p > 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     grid = grid or TimeGrid.uniform(horizon, 500)
     dist_sq = float(np.sum((x - y) ** 2))
 
-    finals_y = terminal_states(model, y, grid, clock_law, n_paths, stream.child(purpose="pow-lhs"), workers=workers, method=method)
-    lhs = MCEstimate.from_samples(np.asarray(f(finals_y), dtype=float)).power(p)
-
-    finals_x = terminal_states(model, x, grid, clock_law, n_paths, stream.child(purpose="pow-rhs"), workers=workers, method=method)
-    moment = MCEstimate.from_samples(np.asarray(f(finals_x), dtype=float) ** p)
+    (f_y,) = _f_terminals(f, model, [y], grid, clock_law, n_paths, stream.child(purpose="pow-lhs"), workers, method)
+    lhs = MCEstimate.from_samples(f_y).power(p)
+    (f_x,) = _f_terminals(f, model, [x], grid, clock_law, n_paths, stream.child(purpose="pow-rhs"), workers, method)
+    moment = MCEstimate.from_samples(f_x**p)
 
     factor, infinite_fraction = power_infimum_factor(
         model, clock_law, horizon, p, dist_sq, t_grid=t_grid,
         n_paths=max(1000, n_paths // 10), stream=stream.child(purpose="pow-factor"),
         workers=workers,
     )
+    if math.isfinite(factor.mean):
+        rhs = moment.times(factor.power(p - 1.0))
+    else:
+        rhs = MCEstimate(mean=math.inf, stderr=math.inf, n=factor.n)
     notes = []
-    force_inconclusive = False
     if dist_sq > 0 and not exponential_moment_finite(clock_law.bernstein):
         notes.append(
             "multiplicative factor divergent: E exp(c/S(t)) is infinite for "
             "this clock (needs a stable-type exponent above one half); the "
             "sample mean is reported but certifies nothing"
         )
-        force_inconclusive = True
-        rhs = moment.times(factor.power(p - 1.0)) if math.isfinite(factor.mean) else MCEstimate(mean=math.inf, stderr=math.inf, n=factor.n)
     elif infinite_fraction > DIVERGENCE_FRACTION or not math.isfinite(factor.mean):
         notes.append(
             f"multiplicative factor divergent: {infinite_fraction:.2%} of paths "
             "overflowed (heavy small-time tail of the clock)"
         )
-        force_inconclusive = True
-        rhs = MCEstimate(mean=math.inf, stderr=math.inf, n=factor.n)
-    else:
-        rhs = moment.times(factor.power(p - 1.0))
-    params = _model_summary(
-        model, clock_law,
-        {"x": x.tolist(), "y": y.tolist(), "T": horizon, "p": p, "n_paths": n_paths,
-         "observable": getattr(f, "describe", lambda: str(f))()},
-    )
-    return HarnackReport.build(
-        "power-harnack", params, lhs, rhs,
+    params = {"x": x.tolist(), "y": y.tolist(), "T": horizon, "p": p, "n_paths": n_paths}
+    return _report(
+        "power-harnack", f, model, clock_law, params, lhs, rhs, notes, started, stream,
         form="expectation outside the infimum",
-        notes=notes,
-        runtime_seconds=time.perf_counter() - started,
-        seed=stream.master_seed,
-        force_inconclusive=force_inconclusive,
     )
 
 
@@ -450,46 +439,27 @@ def gradient_certificate(f, x, horizon, model: SdeModel, clock_law: ClockLaw, n_
     grid = grid or TimeGrid.uniform(horizon, 500)
 
     offsets = fd_step * np.eye(model.dim)
-    stencil = terminal_states(model, np.concatenate([x + offsets, x - offsets]), grid, clock_law, n_paths, stream.child(purpose="grad-stencil"), workers=workers, method=method)
-    derivative_estimates = []
-    for j in range(model.dim):
-        plus = np.asarray(f(stencil[:, j]), dtype=float)
-        minus = np.asarray(f(stencil[:, model.dim + j]), dtype=float)
-        derivative_estimates.append(MCEstimate.from_samples((plus - minus) / (2.0 * fd_step)))
+    stencil = _f_terminals(f, model, list(x + offsets) + list(x - offsets), grid, clock_law, n_paths, stream.child(purpose="grad-stencil"), workers, method)
+    derivative_estimates = [
+        MCEstimate.from_samples((stencil[j] - stencil[model.dim + j]) / (2.0 * fd_step))
+        for j in range(model.dim)
+    ]
     j_max = int(np.argmax([abs(e.mean) for e in derivative_estimates]))
     best = derivative_estimates[j_max]
     lhs = best.power(2.0)
 
-    center = np.asarray(f(terminal_states(model, x, grid, clock_law, n_paths, stream.child(purpose="grad-var"), workers=workers, method=method)), dtype=float)
+    (center,) = _f_terminals(f, model, [x], grid, clock_law, n_paths, stream.child(purpose="grad-var"), workers, method)
     var = variance_estimate(center)
-    rate = harnack_rate_constant(
-        model, clock_law, horizon, t_grid=t_grid, n_paths=max(1000, n_paths // 10),
-        stream=stream.child(purpose="grad-rate"), workers=workers,
-    )
-    notes = []
-    force_inconclusive = False
-    if rate.divergent:
-        notes.append("rate constant divergent")
-        force_inconclusive = True
+    rate, notes = _rate_term(model, clock_law, horizon, t_grid, n_paths, stream.child(purpose="grad-rate"), workers)
     if best.stderr > abs(best.mean):
         notes.append(
             "finite-difference stderr exceeds the difference; raise n_paths or fd_step"
         )
-        force_inconclusive = True
     rhs = var.times(rate.infimum)
-    params = _model_summary(
-        model, clock_law,
-        {"x": x.tolist(), "T": horizon, "fd_step": fd_step, "n_paths": n_paths,
-         "observable": getattr(f, "describe", lambda: str(f))(),
-         "direction": j_max},
-    )
-    return HarnackReport.build(
-        "gradient-bound", params, lhs, rhs,
+    params = {"x": x.tolist(), "T": horizon, "fd_step": fd_step, "n_paths": n_paths, "direction": j_max}
+    return _report(
+        "gradient-bound", f, model, clock_law, params, lhs, rhs, notes, started, stream,
         form="infimum outside the expectation",
-        notes=notes,
-        runtime_seconds=time.perf_counter() - started,
-        seed=stream.master_seed,
-        force_inconclusive=force_inconclusive,
     )
 
 
@@ -501,8 +471,7 @@ def coupling_property_bound(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     stderr reflects the difference, not the individual estimates.
     """
     started = time.perf_counter()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
     grid = grid or TimeGrid.uniform(horizon, 500)
     k_max = max(model.k_bound(t) for t in grid.times)
     if k_max > 0:
@@ -512,16 +481,13 @@ def coupling_property_bound(f, x, y, horizon, model: SdeModel, clock_law: ClockL
         raise ValueError("coupling property bound needs a bounded observable")
     lam_max = max(model.lambda_bound(t) for t in grid.times)
 
-    finals = terminal_states(model, np.stack([x, y]), grid, clock_law, n_paths, stream.child(purpose="couple-bound"), workers=workers, method=method)
-    f_x = np.asarray(f(finals[:, 0]), dtype=float)
-    f_y = np.asarray(f(finals[:, 1]), dtype=float)
+    f_x, f_y = _f_terminals(f, model, [x, y], grid, clock_law, n_paths, stream.child(purpose="couple-bound"), workers, method)
     if np.any(f_x < 0) or np.any(f_y < 0):
         raise ValueError("coupling property bound needs nonnegative f")
     paired = MCEstimate.from_samples(f_x - f_y)
     lhs = MCEstimate(mean=abs(paired.mean), stderr=paired.stderr, n=paired.n)
 
     notes = []
-    force_inconclusive = False
     try:
         inverse_first_moment = bn.inverse_moment(clock_law.bernstein, 1.0, horizon)
         rhs = MCEstimate.exact(
@@ -531,19 +497,8 @@ def coupling_property_bound(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     except bn.InfiniteMomentError:
         rhs = MCEstimate(mean=math.inf, stderr=math.inf, n=n_paths)
         notes.append("E[1/S(T)] is infinite for this clock; the bound is vacuous")
-        force_inconclusive = True
-    params = _model_summary(
-        model, clock_law,
-        {"x": x.tolist(), "y": y.tolist(), "T": horizon, "n_paths": n_paths,
-         "observable": getattr(f, "describe", lambda: str(f))()},
-    )
-    return HarnackReport.build(
-        "coupling-property-bound", params, lhs, rhs,
-        notes=notes,
-        runtime_seconds=time.perf_counter() - started,
-        seed=stream.master_seed,
-        force_inconclusive=force_inconclusive,
-    )
+    params = {"x": x.tolist(), "y": y.tolist(), "T": horizon, "n_paths": n_paths}
+    return _report("coupling-property-bound", f, model, clock_law, params, lhs, rhs, notes, started, stream)
 
 
 @dataclass(frozen=True)
@@ -614,14 +569,10 @@ def stable_rate_check(theta, model: SdeModel, T_grid, n_paths, stream: RngStream
     log_m = np.log(means)
     log_se = stderrs / means
     if np.all(log_se == 0.0):
-        slope, intercept = np.polyfit(log_t, log_m, 1)
+        slope, _ = np.polyfit(log_t, log_m, 1)
         slope_stderr = 0.0
     else:
-        w = 1.0 / np.maximum(log_se, 1e-15) ** 2
-        t_bar = np.sum(w * log_t) / np.sum(w)
-        denom = np.sum(w * (log_t - t_bar) ** 2)
-        slope = float(np.sum(w * (log_t - t_bar) * log_m) / denom)
-        slope_stderr = float(1.0 / math.sqrt(denom))
+        slope, slope_stderr = weighted_slope(log_t, log_m, log_se)
     return RateFit(
         theta=theta,
         T_grid=T_grid,

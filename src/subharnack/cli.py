@@ -546,7 +546,7 @@ def run_config(config: dict, workers=None, base_dir=".") -> int:
         sde.IntegrationError,
         bn.QuadratureError,
         RejectionError,
-        FloatingPointError,
+        ArithmeticError,
         ValueError,
     ) as exc:
         print(f"numeric failure in {config['experiment']}: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ exponential-Euler step on both sides of every transfer identity.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ import numpy as np
 from .certify import harnack_rate_constant, log_harnack_certificate
 from .pathgen import ClockLaw, RngStream, SubordinatorPath, TimeGrid, sample_timechanged_bm
 from .sde import DiffusionModel, PerturbationModel, Trajectory, integrate
+from .stats import weighted_slope
 
 __all__ = [
     "SpectrumModel",
@@ -249,12 +249,7 @@ def dimension_free_check(model_family, f, x, y, horizon, dims, clock_law: ClockL
 
     slacks = np.array([r.slack for r in reports])
     errors = np.array([r.slack_stderr for r in reports])
-    ns = np.asarray(dims, dtype=float)
-    w = 1.0 / np.maximum(errors, 1e-15) ** 2
-    n_bar = np.sum(w * ns) / np.sum(w)
-    denom = np.sum(w * (ns - n_bar) ** 2)
-    slope = float(np.sum(w * (ns - n_bar) * slacks) / denom)
-    slope_stderr = float(1.0 / math.sqrt(denom))
+    slope, slope_stderr = weighted_slope(np.asarray(dims, dtype=float), slacks, errors)
     return DimensionFreeResult(
         dims=dims,
         reports=tuple(reports),

@@ -1,4 +1,5 @@
-"""Monte Carlo estimates with mergeable sufficient statistics."""
+"""Monte Carlo estimates with delta-method transforms, and the small
+reductions built on them."""
 
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ import numpy as np
 class MCEstimate:
     """Sample mean with its standard error and sample count.
 
-    Two estimates can be merged through their sufficient statistics
-    (n, sum, sum of squares); merging is associative, so reductions over
-    path chunks give the same result in any grouping.
+    The transforms below propagate the stderr by the delta method; products
+    and sums treat their operands as independent.
     """
 
     mean: float
@@ -44,27 +44,6 @@ class MCEstimate:
             return cls(mean=mean, stderr=stderr, n=n)
         sd = float(values.std(ddof=1))
         return cls(mean=mean, stderr=sd / math.sqrt(n), n=n)
-
-    def _moments(self):
-        # Recover (n, sum, sum of squares) from mean/stderr.
-        s1 = self.n * self.mean
-        var = self.stderr**2 * self.n  # sample variance, ddof=1
-        s2 = var * (self.n - 1) + s1**2 / self.n
-        return self.n, s1, s2
-
-    def merge(self, other):
-        na, s1a, s2a = self._moments()
-        nb, s1b, s2b = other._moments()
-        n = na + nb
-        s1 = s1a + s1b
-        s2 = s2a + s2b
-        mean = s1 / n
-        if n > 1:
-            var = max(0.0, (s2 - s1**2 / n) / (n - 1))
-            stderr = math.sqrt(var / n)
-        else:
-            stderr = math.nan
-        return MCEstimate(mean=mean, stderr=stderr, n=n)
 
     def log(self):
         """Delta-method log transform.
@@ -125,3 +104,15 @@ def variance_estimate(values) -> MCEstimate:
     m4 = float(np.mean(centered**4))
     var_of_var = max(0.0, (m4 - s2**2 * (n - 3) / (n - 1)) / n)
     return MCEstimate(mean=s2, stderr=math.sqrt(var_of_var), n=n)
+
+
+def weighted_slope(x, y, stderr):
+    """Inverse-variance weighted least-squares slope of y on x, with its stderr.
+
+    Standard errors below 1e-15 are clamped there, so an exact point gets a
+    large but finite weight.
+    """
+    w = 1.0 / np.maximum(stderr, 1e-15) ** 2
+    x_bar = np.sum(w * x) / np.sum(w)
+    denom = np.sum(w * (x - x_bar) ** 2)
+    return float(np.sum(w * (x - x_bar) * y) / denom), float(1.0 / math.sqrt(denom))

@@ -17,24 +17,6 @@ def linear_law():
 
 
 class TestEstimateAlgebra:
-    def test_merge_matches_pooled_samples(self):
-        gen = np.random.default_rng(0)
-        a = gen.normal(size=500)
-        b = gen.normal(loc=0.3, size=700)
-        merged = MCEstimate.from_samples(a).merge(MCEstimate.from_samples(b))
-        pooled = MCEstimate.from_samples(np.concatenate([a, b]))
-        assert merged.mean == pytest.approx(pooled.mean, rel=1e-12)
-        assert merged.stderr == pytest.approx(pooled.stderr, rel=1e-10)
-        assert merged.n == pooled.n
-
-    def test_merge_associative(self):
-        gen = np.random.default_rng(1)
-        parts = [MCEstimate.from_samples(gen.normal(size=n)) for n in (50, 80, 120)]
-        left = parts[0].merge(parts[1]).merge(parts[2])
-        right = parts[0].merge(parts[1].merge(parts[2]))
-        assert left.mean == pytest.approx(right.mean, rel=1e-12)
-        assert left.stderr == pytest.approx(right.stderr, rel=1e-10)
-
     def test_log_transform_folds_bias_into_stderr(self):
         est = MCEstimate(mean=2.0, stderr=0.1, n=100)
         logged = est.log()
@@ -65,6 +47,25 @@ class TestVerdictPolicy:
         )
         assert report.verdict == "certified"
         assert report.z_score == 0.0
+
+    def test_non_finite_slack_is_inconclusive(self):
+        nan_lhs = ct.HarnackReport.build(
+            "unit", {}, MCEstimate(math.nan, math.nan, 100), MCEstimate(1.0, 0.1, 100)
+        )
+        infinite_se = ct.HarnackReport.build(
+            "unit", {}, MCEstimate(1.0, 0.1, 100), MCEstimate(2.0, math.inf, 100)
+        )
+        for report in (nan_lhs, infinite_se):
+            assert math.isnan(report.z_score)
+            assert report.verdict == "inconclusive"
+            assert report.notes == ("slack or its standard error is not finite",)
+
+    def test_any_note_makes_the_verdict_inconclusive(self):
+        lhs, rhs = MCEstimate(1.0, 0.1, 100), MCEstimate(2.0, 0.1, 100)
+        assert ct.HarnackReport.build("unit", {}, lhs, rhs).verdict == "certified"
+        noted = ct.HarnackReport.build("unit", {}, lhs, rhs, notes=["rate constant divergent"])
+        assert noted.verdict == "inconclusive"
+        assert noted.notes == ("rate constant divergent",)
 
     def test_report_dict_schema(self):
         doc = self._report(1.0, 1.2, 0.05).to_dict()

@@ -196,6 +196,42 @@ class TestRunExperiments:
         assert cli._verdict_exit("violated") == 2
         assert cli._verdict_exit("inconclusive") == 3
 
+    @staticmethod
+    def heavy_gradient_config(theta, seed):
+        return {
+            "schema": "subharnack/1",
+            "experiment": "certify-gradient",
+            "model": {"name": "ou", "dim": 2},
+            "clock": {"type": "stable", "theta": theta},
+            "grid": {"horizon": 1.0, "steps": 40},
+            "mc": {"n_paths": 9000, "seed": seed},
+            "observable": {"name": "exp_a", "direction": [1.0, 0.0]},
+            "points": {"x": [1.0, 0.0]},
+        }
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_non_finite_slack_is_inconclusive(self, tmp_path, seed):
+        # exp(X_1) under a theta = 0.4 clock: the variance side overflows
+        # and the slack is NaN, which must not read as certified
+        config = self.heavy_gradient_config(0.4, seed)
+        assert cli.run_config(config, base_dir=tmp_path) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdict"] == "inconclusive"
+        assert report["notes"] == ["slack or its standard error is not finite"]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflow_exits_numeric_without_traceback(self, tmp_path, capsys):
+        # the fourth moment of exp(X_1) overflows a float in the variance
+        # stderr; that is a numeric failure, not a crash
+        config = self.heavy_gradient_config(0.75, 3)
+        assert cli.run_config(config, base_dir=tmp_path) == 70
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestReproducibility:
     def test_reports_identical_across_worker_counts(self, tmp_path):
