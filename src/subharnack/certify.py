@@ -300,7 +300,7 @@ def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_
     """E[ inf_t exp( p lambda_t^2 |x-y|^2 / (2 (p-1)^2 int_0^t e^{-2K} dS) ) ].
 
     Returns the estimate together with the fraction of paths whose infimum
-    overflowed to +inf; a fraction above 1% marks the factor divergent
+    overflowed to +inf; a single such path makes the estimate infinite
     (expected when the clock puts too little mass near the horizon).
     """
     if p <= 1:
@@ -412,7 +412,7 @@ def power_harnack_certificate(f, p, x, y, horizon, model: SdeModel, clock_law: C
             "this clock (needs a stable-type exponent above one half); the "
             "sample mean is reported but certifies nothing"
         )
-    elif infinite_fraction > DIVERGENCE_FRACTION or not math.isfinite(factor.mean):
+    elif not math.isfinite(factor.mean):
         notes.append(
             f"multiplicative factor divergent: {infinite_fraction:.2%} of paths "
             "overflowed (heavy small-time tail of the clock)"

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -630,11 +631,15 @@ def main(argv=None) -> int:
     mom.add_argument("--out", default="out")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "selftest":
-        return run_selftest()
-    return _cmd_moments(args)
+    # verdicts and exit statuses report non-finite numbers; unlike the
+    # per-thread np.errstate, a warnings filter also reaches worker threads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "selftest":
+            return run_selftest()
+        return _cmd_moments(args)
 
 
 if __name__ == "__main__":

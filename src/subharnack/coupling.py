@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .parallel import map_path_chunks
-from .pathgen import ClockLaw, RegularizedClock, RngStream, TimeGrid, bm_increments
+from .pathgen import ClockLaw, RegularizedClock, RngStream, TimeGrid, _rows_per_block, bm_increments
 from .sde import SdeModel, Trajectory, _check_states, plain_chunk
 from .stats import MCEstimate
 
@@ -46,23 +46,35 @@ __all__ = [
 
 
 def clock_decay(k_bound, times, d_clock=None):
-    """Accumulated bound k_cum = int_0^t K, its decay exp(-k_cum), and the
-    per-path Stieltjes denominator.
+    """Accumulated bound k_cum = int_0^t K, its decay exp(-k_cum) times 2^-s,
+    and the per-path Stieltjes denominators.
 
-    k_cum is the cumulative trapezoid of K at the grid times.  Given clock
-    increments d_clock (shape (..., M)), the denominator is the left-point
-    Stieltjes sum of exp(-2 k_cum) against the clock over the full horizon;
-    it is None without them.
+    k_cum is the cumulative trapezoid of K at the grid times; the least s >= 0
+    that puts the decay below 2 keeps its squares finite, and scales exactly.
+    Given clock increments d_clock (shape (..., M)), the last value is
+    (2^s Q, 4^s Q) for the left-point Stieltjes sum Q of the squares against
+    the clock, summed in row blocks: xi = |x - y| decay / (2^s Q), and 4^s Q
+    (inf on overflow) is the sum for exp(-2 k_cum) itself.  It is None
+    without them.
     """
     k_vals = np.asarray([k_bound(t) for t in times], dtype=float)
     k_cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * (k_vals[1:] + k_vals[:-1]) / 2.0)))
     decay = np.exp(-k_cum)
+    shift = max(int(np.frexp(decay.max())[1]) - 1, 0)
+    decay = np.ldexp(decay, -shift)
     if d_clock is None:
         return k_cum, decay, None
-    denominator = np.sum(decay[:-1] ** 2 * d_clock, axis=-1)
-    if np.any(denominator <= 0):
+    squares = decay[:-1] ** 2
+    rows = d_clock.reshape(-1, d_clock.shape[-1])
+    mass = np.empty(rows.shape[0])
+    step = _rows_per_block(rows.shape[1])
+    for start in range(0, mass.size, step):
+        mass[start:start + step] = np.sum(squares * rows[start:start + step], axis=-1)
+    mass = mass.reshape(d_clock.shape[:-1])
+    if np.any(mass <= 0):
         raise ValueError("degenerate clock: zero Stieltjes mass over the horizon")
-    return k_cum, decay, denominator
+    with np.errstate(over="ignore"):
+        return k_cum, decay, (np.ldexp(mass, shift), np.ldexp(mass, 2 * shift))
 
 
 def xi_profile(initial_distance, k_bound, grid: TimeGrid, clock_values):
@@ -76,9 +88,8 @@ def xi_profile(initial_distance, k_bound, grid: TimeGrid, clock_values):
     d_clock = np.diff(clock_values, axis=-1)
     if np.any(d_clock <= 0):
         raise ValueError("coupling requires a strictly increasing clock")
-    _, decay, denominator = clock_decay(k_bound, grid.times, d_clock)
-    profile = initial_distance * decay[:-1] / np.expand_dims(denominator, -1) if np.ndim(denominator) else initial_distance * decay[:-1] / denominator
-    return profile, denominator
+    _, decay, (xi_den, denominator) = clock_decay(k_bound, grid.times, d_clock)
+    return initial_distance * decay[:-1] / np.expand_dims(xi_den, -1), denominator
 
 
 def xi(t, x, y, k_bound, clock: RegularizedClock) -> float:
@@ -170,7 +181,7 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
     dim = model.dim
 
     dist0 = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    _, decay, denominator = clock_decay(model.k_bound, times, d_clock)  # denominator (n,)
+    _, decay, (xi_den, denominator) = clock_decay(model.k_bound, times, d_clock)  # each (n,)
 
     dv_steps = np.diff(model.perturbation.values_on(grid), axis=0)
     X = np.array(np.broadcast_to(np.asarray(x, dtype=float), (n, dim)), order="F")
@@ -203,7 +214,7 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
         x_drifted = model.drift_step(t, hi, X, method)
         y_drifted = model.drift_step(t, hi, Y, method)
 
-        xi_i = dist0 * decay[i] / denominator  # (n,)
+        xi_i = dist0 * decay[i] / xi_den  # (n,)
         drift_gap = x_drifted - y_drifted
         after_common = np.sqrt(np.einsum("ij,ij->i", drift_gap, drift_gap))
         magnitude = np.where(active, np.minimum(xi_i * dl, after_common), 0.0)
@@ -345,9 +356,11 @@ def run_coupled_batch(model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw
 
     def run_chunk(gen, count):
         clock = clock_law.sample_coupling(grid, gen, count)
-        d_clock = np.diff(clock, axis=1)
         dw = bm_increments(clock, model.dim, gen)
-        return _coupled_core(model, x, y, grid, d_clock, dw, delta, method=method)
+        # the clock is spent once its noise is drawn: difference it in place
+        for i in range(grid.n_steps, 0, -1):
+            clock[:, i] -= clock[:, i - 1]
+        return _coupled_core(model, x, y, grid, clock[:, 1:], dw, delta, method=method)
 
     res = map_path_chunks(n_paths, stream, run_chunk, workers)
     return CoupledBatch(

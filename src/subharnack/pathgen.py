@@ -13,7 +13,9 @@ stable sampler runs per block in a few reused buffers, with its sines from
 a reflected odd polynomial (``_sin_reflected``, within 2 ulp) instead of
 ``np.sin``, and the coupling clock is summed and regularized per block of
 rows into one preallocated column-major array.  Every draw is made before
-the blocked arithmetic, so blocking moves no draw.
+the blocked arithmetic, so blocking moves no draw.  ``bm_increments`` draws
+its path-major normals per block of rows too, so a chunk holds its clock and
+its noise and no other path-sized array.
 """
 
 from __future__ import annotations
@@ -420,22 +422,21 @@ def bm_increments(clock_values, dimension, gen):
     ordered (M, d, ...): for a batch of n paths, ``dw[:, i, :]`` is an
     F-contiguous (n, d) block, so each step's arithmetic runs on contiguous
     length-n columns.  A 1-D clock keeps the plain (M, d) layout.
+    The normals are path-major, so drawing them per block of rows moves no
+    draw; each block is scaled straight into the result.
     """
     clock_values = np.asarray(clock_values, dtype=float)
-    gaps = np.diff(clock_values, axis=-1)
-    if np.any(gaps < 0):
+    if np.any(clock_values[..., 1:] < clock_values[..., :-1]):
         raise ValueError("clock increments must be nonnegative")
-    normals = gen.standard_normal(gaps.shape + (dimension,))
-    paths = gaps.ndim - 1
-    buffer = np.empty(gaps.shape[-1:] + (dimension,) + gaps.shape[:-1])
-    # iterate in the buffer's order: the inner loop then runs over paths,
-    # not over the d coordinates of the draw order
-    np.multiply(
-        normals.transpose((paths, paths + 1) + tuple(range(paths))),
-        np.moveaxis(np.sqrt(gaps), -1, 0)[:, None],
-        out=buffer, order="C",
-    )
-    return buffer.transpose(tuple(range(2, 2 + paths)) + (0, 1))
+    rows = clock_values.reshape(-1, clock_values.shape[-1])
+    m, paths = rows.shape[1] - 1, clock_values.ndim - 1
+    buffer = np.empty((m, dimension, rows.shape[0]))
+    step = _rows_per_block(m * dimension)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        normals = gen.standard_normal((block.shape[0], m, dimension))
+        np.multiply(normals.transpose(1, 2, 0), np.sqrt(np.diff(block)).T[:, None], out=buffer[:, :, start:start + step])
+    return buffer.reshape((m, dimension) + clock_values.shape[:-1]).transpose(tuple(range(2, 2 + paths)) + (0, 1))
 
 
 def sample_timechanged_bm(clock, dimension, rng) -> TimeChangedBMPath:

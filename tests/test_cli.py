@@ -232,6 +232,16 @@ class TestRunExperiments:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("theta, status, lines", [(0.4, 3, 0), (0.75, 70, 1)])
+    def test_cli_prints_no_numpy_warnings(self, tmp_path, capsys, monkeypatch, workers, theta, status, lines):
+        # the overflows above show in the verdict or the exit status only;
+        # numpy's warnings stay off stderr, also those of worker threads
+        monkeypatch.setenv("SUBHARNACK_WORKERS", str(workers))
+        path = write_config(tmp_path, "heavy.json", self.heavy_gradient_config(theta, 3))
+        assert cli.main(["run", str(path)]) == status
+        assert len(capsys.readouterr().err.splitlines()) == lines
+
 
 class TestReproducibility:
     def test_reports_identical_across_worker_counts(self, tmp_path):

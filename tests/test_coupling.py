@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,33 @@ class TestXi:
         clock = pg.regularize(path, 0.1, ext)
         _, denominator = cp.xi_profile(1.0, lambda s: 0.0, grid, clock.values)
         assert denominator == pytest.approx(clock.values[-1] - clock.values[0], abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1.0, -1.0, -30.0, -300.0])
+    @pytest.mark.parametrize("bf", [bn.LinearBernstein(), bn.StableBernstein(0.75)], ids=["linear", "stable"])
+    def test_scaled_decay_keeps_every_bit(self, k, bf):
+        # the power-of-two scaling of exp(-k_cum) and the row-blocked
+        # Stieltjes sum give the bits of the plain formulas, on row-major
+        # (linear) and column-major (regularized) clocks over several blocks
+        grid = pg.TimeGrid.uniform(1.0, 40)
+        clock = pg.ClockLaw(bf).sample_coupling(grid, pg.RngStream(38).generator(), 3000)
+        profile, denominator = cp.xi_profile(1.5, lambda s: k, grid, clock)
+        decay = np.exp(-cp.clock_decay(lambda s: k, grid.times)[0])
+        reference = np.sum(decay[:-1] ** 2 * np.diff(clock, axis=1), axis=-1)
+        assert np.array_equal(denominator, reference)
+        assert np.array_equal(profile, 1.5 * decay[:-1] / reference[:, None])
+
+    def test_overflowing_denominator_keeps_the_drift(self):
+        # K = -400: sum exp(800 t_j) h overflows, so the denominator reads
+        # inf, while xi keeps its value exp(400 t - log D) from the closed
+        # geometric sum log D = 800 + log h - log(e^{800 h} - 1)
+        steps = 1000
+        h = 1.0 / steps
+        grid = pg.TimeGrid.uniform(1.0, steps)
+        profile, denominator = cp.xi_profile(1.0, lambda s: -400.0, grid, grid.times)
+        assert denominator == np.inf
+        log_d = 800.0 + math.log(h) - math.log(math.expm1(800.0 * h))
+        expected = np.exp(400.0 * grid.times[-3:-1] - log_d)
+        assert profile[-2:] == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_flat_clock(self):
         grid = pg.TimeGrid.uniform(1.0, 4)
@@ -209,6 +237,23 @@ class TestGirsanovWeight:
             assert abs(mean) < 3.0 * se + 5e-3
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_denominator_still_steers(self):
+        # ou at rate 400 on a linear clock: exp(-2 int K) reaches e^800, so
+        # the unscaled denominator overflowed and xi read 0; the tiny noise
+        # and threshold keep the pair apart until the drift acts near T
+        grid = pg.TimeGrid.uniform(1.0, 1000)
+        model = sde.make_model("ou", rate=400.0, sigma_scale=1e-100)
+        batch = cp.run_coupled_batch(
+            model, [1.0], [0.0], grid, pg.ClockLaw(bn.LinearBernstein()), 2000,
+            pg.RngStream(39, purpose="overflow"), delta_couple=1e-300,
+        )
+        assert np.all(np.isinf(batch.denominators))
+        assert np.any(batch.eta_sq > 0)
+        est = batch.weight_normalization()
+        assert abs(est.mean - 1.0) <= 4.0 * est.stderr
+
+
 class TestTransferIdentity:
     def test_constant_observable_reduces_to_normalization(self):
         model = sde.make_model("ou", dim=1, rate=1.0)
@@ -302,6 +347,44 @@ class TestCoupledStepping:
         coupled = runs[0]["tau_index"] >= 0
         assert np.any(coupled)
         assert np.array_equal(runs[0]["x_terminal"][coupled], runs[0]["y_terminal"][coupled])
+
+    @pytest.mark.parametrize("bf", [bn.LinearBernstein(), bn.StableBernstein(0.75)], ids=["linear", "stable"])
+    def test_chunk_matches_the_plain_pipeline(self, bf):
+        # a chunk differences its clock in place once the noise is drawn;
+        # np.diff on the same draws is the oracle, for row-major (linear)
+        # and column-major (regularized) clocks
+        model = sde.make_model("ou", dim=2)
+        grid = pg.TimeGrid.uniform(1.0, 40)
+        law = pg.ClockLaw(bf)
+        stream = pg.RngStream(37, purpose="chunk")
+        gen = stream.child(replicate=0).generator()
+        clock = law.sample_coupling(grid, gen, 3000)
+        dw = pg.bm_increments(clock, 2, gen)
+        ref = cp._coupled_core(model, [1.0, 0.5], [-0.5, 0.2], grid, np.diff(clock, axis=1), dw, 1e-6)
+        batch = cp.run_coupled_batch(model, [1.0, 0.5], [-0.5, 0.2], grid, law, 3000, stream, delta_couple=1e-6)
+        for key, value in (
+            ("log_weight", batch.log_weights), ("tau_index", batch.tau_indices),
+            ("x_terminal", batch.x_terminal), ("y_terminal", batch.y_terminal),
+            ("eta_sq", batch.eta_sq), ("denominator", batch.denominators),
+        ):
+            assert np.array_equal(ref[key], value), key
+
+    def test_chunk_holds_its_clock_and_noise_only(self):
+        # the transfer-dw-gamma chunk: its clock and noise take 16 MB each;
+        # the unblocked pipeline peaked at 94 MiB
+        ramp = sde.PerturbationModel.from_function(lambda t: np.array([0.5 * t]), 1)
+        model = sde.make_model("double_well", dim=1, perturbation=ramp)
+        law = pg.ClockLaw(bn.GammaBernstein(4.0, 4.0), epsilon=0.05)
+        tracemalloc.start()
+        try:
+            cp.run_coupled_batch(
+                model, [1.0], [0.0], pg.TimeGrid.uniform(1.0, 250), law, CHUNK_SIZE,
+                pg.RngStream(40, purpose="peak"), delta_couple=1e-6, method="semi_implicit",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")

@@ -402,6 +402,17 @@ class TestTimeChangedBM:
         with pytest.raises(ValueError, match="nonnegative"):
             pg.bm_increments(np.array([0.0, 1.0, 0.5]), 1, gen)
 
+    def test_negative_increment_rejected_before_any_draw(self):
+        # the offending row sits in the second block of rows: nothing may be
+        # drawn for the first block either
+        rows = pg._rows_per_block(2)
+        clock = np.tile([0.0, 1.0, 2.0], (rows + 5, 1))
+        clock[-1, 2] = 0.5
+        gen = pg.RngStream(1).generator()
+        with pytest.raises(ValueError, match="nonnegative"):
+            pg.bm_increments(clock, 1, gen)
+        assert np.array_equal(gen.standard_normal(8), pg.RngStream(1).generator().standard_normal(8))
+
     def test_linear_clock_second_moment(self):
         gen = pg.RngStream(106, purpose="bm2").generator()
         inc = pg.bm_increments(np.tile(np.linspace(0, 1, 11), (N_LAPLACE, 1)), 2, gen)
@@ -423,12 +434,17 @@ class TestTimeChangedBM:
         assert abs(emp_two.mean() - math.exp(-math.sqrt(2.0))) < 3.0 * stderr(emp_two)
 
     @pytest.mark.parametrize("dim", [1, 2, 64])
-    @pytest.mark.parametrize("paths", [None, 37], ids=["1d-clock", "2d-clock"])
+    @pytest.mark.parametrize(
+        "paths", [None, (0, 37), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+        ids=["1d-clock", "2d-clock", "1-path", "rows-1", "rows", "rows+1", "3rows+5"],
+    )
     def test_increments_are_the_scaled_normals(self, dim, paths):
-        # the (M, d, paths) memory order changes no bit and no draw
+        # drawing in blocks of rows and the (M, d, paths) memory order change
+        # no bit and no draw; (a, b) means a blocks of rows plus b paths
         grid = pg.TimeGrid.uniform(1.0, 9)
         law = pg.ClockLaw(bn.StableBernstein(0.75))
-        clock = law.sample_raw(grid, pg.RngStream(110).generator(), paths or 1)
+        n = 1 if paths is None else paths[0] * pg._rows_per_block(grid.n_steps * dim) + paths[1]
+        clock = law.sample_raw(grid, pg.RngStream(110).generator(), n)
         clock = clock[0] if paths is None else clock
         inc = pg.bm_increments(clock, dim, pg.RngStream(111).generator())
         gaps = np.diff(clock, axis=-1)
