@@ -67,11 +67,6 @@ CERTIFIED = "certified"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
-# Fraction of infinite per-path contributions above which a rate constant
-# is reported divergent instead of estimated.
-DIVERGENCE_FRACTION = 0.01
-
-
 def _z_score(slack, combined_stderr):
     if not (math.isfinite(slack) and math.isfinite(combined_stderr)):
         return math.nan
@@ -172,12 +167,14 @@ def default_t_grid(horizon):
 class RateConstantResult:
     """Estimates of E[lambda_t^2 / int_0^t exp(-2K) dS] on a time grid.
 
-    A grid time where more than 1% of the paths carry zero clock mass is
-    flagged divergent and excluded from the infimum (heavy clocks really do
-    have infinite moments at small times); the result as a whole is
-    divergent only when no admissible time remains.  A time whose estimate
-    has infinite variance (gamma clocks with a*t <= 2) keeps its sample
-    mean, gets stderr inf and is excluded from the infimum too.
+    A grid time where any path carries zero clock mass gets mean inf and is
+    excluded from the infimum (heavy clocks really do have infinite moments
+    at small times); the result as a whole is divergent only when no
+    admissible time remains.  A time whose estimate has infinite variance
+    (gamma clocks with a*t <= 2) keeps its sample mean, gets stderr inf and
+    is excluded from the infimum too.  ``per_t_infinite`` is the share of
+    infinite paths per time, set to 1 where a gamma clock's mean diverges
+    (a*t <= 1).
     """
 
     t_grid: np.ndarray
@@ -203,8 +200,9 @@ def _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, work
 
     def run_chunk(gen, count):
         inc = sample_subordinator_increments(clock_law.bernstein, durations, gen, count)
-        partial = np.cumsum(weights * inc, axis=1)
-        return partial[:, t_idx - 1]
+        inc *= weights
+        np.cumsum(inc, axis=1, out=inc)
+        return inc[:, t_idx - 1]
 
     return map_path_chunks(n_paths, stream, run_chunk, workers)
 
@@ -233,8 +231,9 @@ def _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, 
 def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=None, n_paths=10_000, stream: RngStream = None, workers=1, resolution=256) -> RateConstantResult:
     """Monte Carlo estimate of the Harnack cost rate and its infimum over t.
 
-    Paths with zero clock mass before a grid time contribute +inf there; a
-    time with more than 1% infinite paths makes the result divergent.
+    Paths with zero clock mass before a grid time contribute +inf there, and
+    a time with an infinite mean or stderr is left out of the infimum; the
+    result is divergent when no time is left.
     """
     if n_paths < 1000:
         raise ValueError("rate constant estimation needs at least 1000 paths")
@@ -259,13 +258,7 @@ def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=
             per_t.append(MCEstimate(mean=float(col.mean()), stderr=math.inf, n=col.size))
         else:
             per_t.append(MCEstimate.from_samples(col))
-    admissible = [
-        j
-        for j, est in enumerate(per_t)
-        if math.isfinite(est.mean)
-        and math.isfinite(est.stderr)
-        and per_t_infinite[j] <= DIVERGENCE_FRACTION
-    ]
+    admissible = [j for j, est in enumerate(per_t) if math.isfinite(est.mean) and math.isfinite(est.stderr)]
     if admissible:
         j_min = min(admissible, key=lambda j: per_t[j].mean)
         infimum = per_t[j_min]

@@ -9,6 +9,9 @@ started from its own initial point.  That transfer identity
     E[R f(X_T)] = E f(X_T started at y)
 
 is the engine behind every Harnack certificate in this package.
+``harnack_transfer_check`` tests it on one clock draw: each path's clock
+drives both the coupled pair (the reweighted side) and a plain run from y
+(the direct side), each with its own noise.
 
 Discretization notes:
 
@@ -23,13 +26,15 @@ Discretization notes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sde
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RegularizedClock, RngStream, TimeGrid, _rows_per_block, bm_increments
-from .sde import SdeModel, Trajectory, _check_states, plain_chunk
+from .sde import SdeModel, Trajectory, _check_states
 from .stats import MCEstimate
 
 __all__ = [
@@ -45,12 +50,18 @@ __all__ = [
 ]
 
 
+# Largest argument of exp with a finite result is 709.78.
+_EXP_MAX = 709.0
+
+
 def clock_decay(k_bound, times, d_clock=None):
     """Accumulated bound k_cum = int_0^t K, its decay exp(-k_cum) times 2^-s,
     and the per-path Stieltjes denominators.
 
     k_cum is the cumulative trapezoid of K at the grid times; the least s >= 0
     that puts the decay below 2 keeps its squares finite, and scales exactly.
+    Where exp(-k_cum) itself would overflow, s comes from max(-k_cum) and the
+    scaled decay is evaluated as exp(-k_cum - s log 2).
     Given clock increments d_clock (shape (..., M)), the last value is
     (2^s Q, 4^s Q) for the left-point Stieltjes sum Q of the squares against
     the clock, summed in row blocks: xi = |x - y| decay / (2^s Q), and 4^s Q
@@ -59,9 +70,14 @@ def clock_decay(k_bound, times, d_clock=None):
     """
     k_vals = np.asarray([k_bound(t) for t in times], dtype=float)
     k_cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * (k_vals[1:] + k_vals[:-1]) / 2.0)))
-    decay = np.exp(-k_cum)
-    shift = max(int(np.frexp(decay.max())[1]) - 1, 0)
-    decay = np.ldexp(decay, -shift)
+    top = float(np.max(-k_cum))
+    if top < _EXP_MAX:
+        decay = np.exp(-k_cum)
+        shift = max(int(np.frexp(decay.max())[1]) - 1, 0)
+        decay = np.ldexp(decay, -shift)
+    else:
+        shift = int(top / math.log(2.0))
+        decay = np.exp(-k_cum - shift * math.log(2.0))
     if d_clock is None:
         return k_cum, decay, None
     squares = decay[:-1] ** 2
@@ -348,6 +364,18 @@ class CoupledBatch:
         return MCEstimate.from_samples(self.weights() * self.log_weights)
 
 
+def _coupling_noise(clock, dim, gen):
+    """Noise (count, M, dim) on a chunk's coupling clock, then its increments.
+
+    The clock (count, M + 1) is spent once its noise is drawn, so it is
+    differenced in place; the increments are a (count, M) view of it.
+    """
+    dw = bm_increments(clock, dim, gen)
+    for i in range(clock.shape[1] - 1, 0, -1):
+        clock[:, i] -= clock[:, i - 1]
+    return clock[:, 1:], dw
+
+
 def run_coupled_batch(model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, delta_couple=None, workers=1, method="euler") -> CoupledBatch:
     """Simulate independent coupled pairs under freshly drawn coupling clocks."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -355,12 +383,8 @@ def run_coupled_batch(model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw
     delta = _threshold(x, y, delta_couple)
 
     def run_chunk(gen, count):
-        clock = clock_law.sample_coupling(grid, gen, count)
-        dw = bm_increments(clock, model.dim, gen)
-        # the clock is spent once its noise is drawn: difference it in place
-        for i in range(grid.n_steps, 0, -1):
-            clock[:, i] -= clock[:, i - 1]
-        return _coupled_core(model, x, y, grid, clock[:, 1:], dw, delta, method=method)
+        d_clock, dw = _coupling_noise(clock_law.sample_coupling(grid, gen, count), model.dim, gen)
+        return _coupled_core(model, x, y, grid, d_clock, dw, delta, method=method)
 
     res = map_path_chunks(n_paths, stream, run_chunk, workers)
     return CoupledBatch(
@@ -375,26 +399,41 @@ def run_coupled_batch(model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw
 
 
 def harnack_transfer_check(f, model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, delta_couple=None, workers=1, method="euler"):
-    """Two estimators of the same semigroup value.
+    """Two estimators of the same semigroup value, on one clock draw.
 
-    Estimator A reweights coupled paths started at (x, y) by R; estimator B
-    integrates the dynamics started at y directly with independent noise.
-    Both draw clocks from the same law (the coupling clock), so their
-    difference is pure Monte Carlo error plus one-step discretization
-    effects.
+    Estimator A reweights coupled paths started at (x, y) by R and averages
+    R f(X_T); estimator B steps the dynamics from y directly and averages
+    f(Y_T).  Each path's coupling clock is drawn once and drives both.  A
+    draws its noise from the chunk's generator right after the clock, so it
+    equals the first estimate of a ``run_coupled_batch`` call on the same
+    stream bit for bit; B draws its noise from a generator spawned from the
+    chunk's, so given the clock the two sides are independent.  The
+    transfer identity holds for each fixed clock, so both sides have the
+    same conditional mean g(S) given the clock S, and their covariance is
+    var g(S) >= 0 (up to discretization): sd(A - B) stays at most
+    hypot(sd A, sd B), as for two independent estimators.  Their difference
+    is Monte Carlo error plus one-step discretization effects.
     """
     if n_paths < 1000:
         raise ValueError("transfer check needs at least 1000 paths")
-    batch = run_coupled_batch(
-        model, x, y, grid, clock_law, n_paths,
-        stream.child(purpose=stream.purpose + "-coupled"),
-        delta_couple=delta_couple, workers=workers, method=method,
-    )
-    weighted = batch.weights() * np.asarray(f(batch.x_terminal), dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    delta = _threshold(x, y, delta_couple)
+
+    def run_chunk(gen, count):
+        clock = clock_law.sample_coupling(grid, gen, count)
+        # B's noise comes from a spawned generator, which draws nothing from
+        # gen, and is freed before A's is drawn; sde.euler_steps is looked up
+        # at call time, so a wrapper installed on it sees this call
+        dw_direct = bm_increments(clock, model.dim, gen.spawn(1)[0])
+        direct = sde.euler_steps(model, np.broadcast_to(y, (count, model.dim)), grid, dw_direct, method=method)
+        del dw_direct
+        d_clock, dw = _coupling_noise(clock, model.dim, gen)
+        coupled = _coupled_core(model, x, y, grid, d_clock, dw, delta, method=method)
+        return {"log_weight": coupled["log_weight"], "x_terminal": coupled["x_terminal"], "direct": direct}
+
+    res = map_path_chunks(n_paths, stream.child(purpose=stream.purpose + "-coupled"), run_chunk, workers)
+    weighted = np.exp(res["log_weight"]) * np.asarray(f(res["x_terminal"]), dtype=float)
     estimate_a = MCEstimate.from_samples(weighted)
-    direct = map_path_chunks(
-        n_paths, stream.child(purpose=stream.purpose + "-direct"),
-        plain_chunk(model, y, grid, clock_law.sample_coupling, method), workers,
-    )
-    estimate_b = MCEstimate.from_samples(np.asarray(f(direct), dtype=float))
+    estimate_b = MCEstimate.from_samples(np.asarray(f(res["direct"]), dtype=float))
     return estimate_a, estimate_b

@@ -364,21 +364,22 @@ def yoshida_drift(drift_func, n, t, x, tol=1e-12, max_iter=100):
     return out
 
 
-def plain_chunk(model, x0, grid: TimeGrid, sample_clock, method="euler"):
-    """Chunk function for ``map_path_chunks``: terminal states from x0.
+def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler"):
+    """Terminal values X_T for n_paths independent (S, W) draws.
 
-    Each chunk draws its clocks with ``sample_clock(grid, gen, count)``,
-    then the Gaussian increments, then steps with ``euler_steps``.  x0 is
-    one start of shape (d,), giving rows of shape (d,), or K starts of
-    shape (K, d), giving rows of shape (K, d): the clock and the increments
-    are drawn once and every start is stepped through that one draw, so
-    start k gets the same bits as a single-start call on the same stream.
+    Paths are generated in fixed-size chunks with one counter-based stream
+    per chunk, so the result is independent of worker count.  Each chunk
+    draws its raw clocks, then the Gaussian increments, then steps with
+    ``euler_steps``.  A start x0 of shape (d,) gives an (n_paths, d) array;
+    K starts of shape (K, d) give (n_paths, K, d), all K driven by the same
+    clock and noise on each path (common random numbers), with [:, k, :]
+    equal bit for bit to a single-start call from x0[k] on the same stream.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     starts = x0.reshape(-1, x0.shape[-1])
 
-    def run(gen, count):
-        clock = sample_clock(grid, gen, count)
+    def run_chunk(gen, count):
+        clock = clock_law.sample_raw(grid, gen, count)
         dw = bm_increments(clock, model.dim, gen)
         # stored (K, d, n) and viewed as (n, K, d), so every [:, k, :] block
         # is column-major like a single-start result; np.concatenate keeps
@@ -390,21 +391,7 @@ def plain_chunk(model, x0, grid: TimeGrid, sample_clock, method="euler"):
         finals = finals.transpose(2, 0, 1)
         return finals[:, 0] if x0.ndim == 1 else finals
 
-    return run
-
-
-def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler"):
-    """Terminal values X_T for n_paths independent (S, W) draws.
-
-    Paths are generated in fixed-size chunks with one counter-based stream
-    per chunk, so the result is independent of worker count.  A start x0 of
-    shape (d,) gives an (n_paths, d) array; K starts of shape (K, d) give
-    (n_paths, K, d), all K driven by the same clock and noise on each path
-    (common random numbers), with [:, k, :] equal bit for bit to a
-    single-start call from x0[k] on the same stream.
-    """
-    chunk = plain_chunk(model, x0, grid, clock_law.sample_raw, method)
-    return map_path_chunks(n_paths, stream, chunk, workers)
+    return map_path_chunks(n_paths, stream, run_chunk, workers)
 
 
 def semigroup_estimate(f, x0, model: SdeModel, clock_law: ClockLaw, grid: TimeGrid, n_paths, stream: RngStream, workers=1, method="euler") -> MCEstimate:

@@ -167,6 +167,23 @@ class TestRateConstant:
         )
         assert only_heavy.divergent
 
+    def test_weighted_partials_match_the_two_array_form(self):
+        # the in-place weighting and cumulative sum against np.cumsum of a
+        # weighted copy, on the same draws, over two chunks
+        model = sde.make_model("ou", dim=1, rate=3.0)
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        times = np.linspace(0.0, 1.0, 17)
+        t_idx = np.array([1, 8, 16])
+        stream = pg.RngStream(47, purpose="partials")
+        partials = ct._weighted_partials(model, law, times, t_idx, CHUNK_SIZE + 100, stream, 1)
+        weights = np.exp(-2.0 * ct.clock_decay(model.k_bound, times)[0][:-1])
+        ref = []
+        for chunk, count in enumerate((CHUNK_SIZE, 100)):
+            gen = stream.child(replicate=chunk).generator()
+            inc = pg.sample_subordinator_increments(law.bernstein, np.diff(times), gen, count)
+            ref.append(np.cumsum(weights * inc, axis=1)[:, t_idx - 1])
+        assert np.array_equal(partials, np.concatenate(ref))
+
 
 class TestLogHarnack:
     def test_jensen_consistency_equal_points(self):

@@ -11,6 +11,7 @@ from subharnack import galerkin as gk
 from subharnack import pathgen as pg
 from subharnack import sde
 from subharnack.parallel import CHUNK_SIZE
+from subharnack.stats import MCEstimate
 
 
 def identity_clock(horizon, steps):
@@ -69,6 +70,16 @@ class TestXi:
         log_d = 800.0 + math.log(h) - math.log(math.expm1(800.0 * h))
         expected = np.exp(400.0 * grid.times[-3:-1] - log_d)
         assert profile[-2:] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_decay_is_scaled_before_exp(self):
+        # ou at rate 4096: -int K reaches 4096, far past exp's range at 709
+        grid = pg.TimeGrid.uniform(1.0, 1000)
+        k_cum, decay, _ = cp.clock_decay(lambda s: -4096.0, grid.times)
+        assert 1.0 <= decay.max() < 2.0
+        assert decay[-2] / decay[-1] == pytest.approx(math.exp(-4096.0 / 1000), rel=1e-9)
+        profile, denominator = cp.xi_profile(1.0, lambda s: -4096.0, grid, grid.times)
+        assert np.all(np.isfinite(profile)) and denominator == np.inf
 
     def test_rejects_flat_clock(self):
         grid = pg.TimeGrid.uniform(1.0, 4)
@@ -253,6 +264,20 @@ class TestGirsanovWeight:
         est = batch.weight_normalization()
         assert abs(est.mean - 1.0) <= 4.0 * est.stderr
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_decay_couples_by_contraction(self):
+        # ou at rate 4096 on a linear clock: exp(-int K) itself overflowed and
+        # raised; now the steering underflows to 0 and contraction couples
+        # the pair under the resolvent step
+        grid = pg.TimeGrid.uniform(1.0, 1000)
+        batch = cp.run_coupled_batch(
+            sde.make_model("ou", rate=4096.0), [1.0], [0.0], grid,
+            pg.ClockLaw(bn.LinearBernstein()), 2000, pg.RngStream(3), method="semi_implicit",
+        )
+        assert np.all(np.isfinite(batch.log_weights))
+        assert batch.coupling_fraction() >= 0.99
+        assert batch.weight_normalization().mean == 1.0
+
 
 class TestTransferIdentity:
     def test_constant_observable_reduces_to_normalization(self):
@@ -287,6 +312,50 @@ class TestTransferIdentity:
         )
         h = 1.0 / 500
         assert abs(a.mean - b.mean) < 3.0 * math.hypot(a.stderr, b.stderr) + 5.0 * h
+
+    @staticmethod
+    def _dw_ramp():
+        ramp = sde.PerturbationModel.from_function(lambda t: np.array([0.5 * t]), 1)
+        model = sde.make_model("double_well", dim=1, perturbation=ramp)
+        return model, pg.TimeGrid.uniform(1.0, 20), pg.ClockLaw(bn.GammaBernstein(4.0, 4.0), epsilon=0.05)
+
+    def test_reweighted_side_is_the_coupled_batch(self):
+        model, grid, law = self._dw_ramp()
+        stream = pg.RngStream(44, purpose="tbatch")
+        a, _ = cp.harnack_transfer_check(
+            lambda z: np.sin(z[:, 0]), model, [1.0], [0.0], grid, law, 3000, stream,
+            delta_couple=1e-6, method="semi_implicit",
+        )
+        batch = cp.run_coupled_batch(
+            model, [1.0], [0.0], grid, law, 3000, stream.child(purpose="tbatch-coupled"),
+            delta_couple=1e-6, method="semi_implicit",
+        )
+        ref = MCEstimate.from_samples(batch.weights() * np.sin(batch.x_terminal[:, 0]))
+        assert (a.mean, a.stderr) == (ref.mean, ref.stderr)
+
+    def test_direct_side_steps_each_chunks_own_clock(self):
+        # B replays plain stepping from y on the coupled chunk's clock, with
+        # noise from the generator spawned from the chunk's, over two chunks
+        model, grid, law = self._dw_ramp()
+        stream = pg.RngStream(45, purpose="tdirect")
+        n = CHUNK_SIZE + 300
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return np.sin(z[:, 0])
+
+        cp.harnack_transfer_check(
+            f, model, [1.0], [0.0], grid, law, n, stream,
+            delta_couple=1e-6, method="semi_implicit",
+        )
+        replay = []
+        for chunk, count in enumerate((CHUNK_SIZE, 300)):
+            gen = stream.child(purpose="tdirect-coupled").child(replicate=chunk).generator()
+            dw = pg.bm_increments(law.sample_coupling(grid, gen, count), 1, gen.spawn(1)[0])
+            replay.append(sde.euler_steps(model, np.zeros((count, 1)), grid, dw, method="semi_implicit"))
+        assert len(calls) == 2
+        assert np.array_equal(calls[1], np.concatenate(replay))
 
     def test_minimum_path_count_enforced(self):
         model = sde.make_model("zero", dim=1)
