@@ -23,7 +23,6 @@ import time
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import bernstein as bn
@@ -221,6 +220,10 @@ class ConfigError(ValueError):
 
 
 def validate_config(config: dict):
+    # jsonschema is most of the cold start left after numpy; commands that
+    # never validate a config do not pay for it
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
     if errors:

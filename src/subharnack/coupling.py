@@ -19,6 +19,9 @@ Discretization notes:
   distance after the common increments, preventing overshoot through zero;
   coupling is declared once the pair is within ``delta_couple`` and the
   paths are pasted together afterwards.
+* A pair leaves the coupled step at its meeting step: from then on Y is X,
+  the steering is 0 and R is frozen, so only the primary path is stepped
+  for it (Arnaudon, Thalmaier & Wang, Bull. Sci. Math. 130, 2006).
 * The weight uses left-endpoint (non-anticipating) integrands with the
   post-clip rate, so the discrete change of measure is exact: E[R] = 1
   holds step for step, not just in the small-h limit.
@@ -34,7 +37,7 @@ import numpy as np
 from . import sde
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RegularizedClock, RngStream, TimeGrid, _rows_per_block, bm_increments
-from .sde import SdeModel, Trajectory, _check_states
+from .sde import _STATE_BOUND, SdeModel, Trajectory, _check_states
 from .stats import MCEstimate
 
 __all__ = [
@@ -181,6 +184,29 @@ class CoupledPath:
         return float(self.primary.grid.times[self.tau_index])
 
 
+def _take(a, rows):
+    """Rows of an (n,) or (n, d) array, column-major; ``a`` itself for all rows.
+
+    The gather runs per column into a column-major result, so every later
+    step on the working set keeps the memory order of the full chunk.
+    """
+    if rows.size == a.shape[0]:
+        return a
+    if a.ndim == 1:
+        return a.take(rows)
+    out = np.empty((rows.size, a.shape[1]), order="F")
+    for j in range(a.shape[1]):
+        np.take(a[:, j], rows, out=out[:, j])
+    return out
+
+
+def _paste(X, Y, rows):
+    """The secondary states of every row: Y on the working set, X elsewhere."""
+    full = X.copy(order="F")
+    full[rows] = Y
+    return full
+
+
 def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method="euler"):
     """Step the coupled pair for a batch; everything shares shapes (n, ...).
 
@@ -189,6 +215,14 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
     accumulated squared steering cost, the cost denominator, the applied
     rates, and optionally full paths.  The states are kept column-major,
     matching the (M, d, n) memory order of ``bm_increments``.
+
+    X is stepped for every row.  The secondary side runs on a working set
+    of rows, gathered again once half of it has met: a met pair has Y = X,
+    and drift steps act on each row alone, so its steering and weight
+    increments are exactly 0, and a row that leaves the set keeps its
+    weight and ends with Y_T = X_T.  A working set keeps two rows while any
+    of its pairs is apart, since reductions over a lone row take another
+    summation order.
     """
     times = grid.times
     h = grid.step_sizes
@@ -205,60 +239,78 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
     log_weight = np.zeros(n)
     eta_sq = np.zeros(n)
     rates = np.zeros((n, n_steps)) if keep_path else None
-    tau_idx = np.full(n, -1, dtype=np.int64)
-    coupled = np.zeros(n, dtype=bool)
-    if dist0 <= delta:
-        coupled[:] = True
-        tau_idx[:] = 0
+    tau_idx = np.full(n, -1 if dist0 > delta else 0, dtype=np.int64)
     hist_x = [X.copy()] if keep_path else None
     hist_y = [Y.copy()] if keep_path else None
+    # the working set: its rows, the primary and secondary states of their
+    # pairs, gap and distance at the start of a step, which pairs are still
+    # apart, weights, costs, coupling indices and denominators; a pair that
+    # starts within delta never enters it
+    rows = np.arange(n if dist0 > delta else 0)
+    Xw, Y, w_log, w_eta, w_tau, w_den = (_take(a, rows) for a in (X, Y, log_weight, eta_sq, tau_idx, xi_den))
+    diff = Xw - Y
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    apart = np.ones(rows.size, dtype=bool)
 
     for i in range(n_steps):
         t, hi = times[i], h[i]
-        dl = d_clock[:, i]
         noise = model.diffusion.apply(t, dw[:, i, :])
         dv = dv_steps[i]
-
-        active = ~coupled
-        diff = X - Y
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        mask = (dist > 0) & active
-        unit = np.where(mask[:, None], diff / np.where(mask, dist, 1.0)[:, None], 0.0)
-
-        # states after the drift step but before the common noise; the
-        # clipping distance is measurable without peeking at the increment
         x_drifted = model.drift_step(t, hi, X, method)
-        y_drifted = model.drift_step(t, hi, Y, method)
-
-        xi_i = dist0 * decay[i] / xi_den  # (n,)
-        drift_gap = x_drifted - y_drifted
-        after_common = np.sqrt(np.einsum("ij,ij->i", drift_gap, drift_gap))
-        magnitude = np.where(active, np.minimum(xi_i * dl, after_common), 0.0)
-        rate = magnitude / dl
-        eta = rate[:, None] * model.diffusion.apply_inverse(t, unit)
-        eta_norm_sq = np.einsum("ij,ij->i", eta, eta)
-        log_weight -= np.einsum("ij,ij->i", eta, dw[:, i, :]) + 0.5 * eta_norm_sq * dl
-        eta_sq += eta_norm_sq * dl
-        if keep_path:
-            rates[:, i] = rate
-
         X = x_drifted + noise + dv
-        Y = y_drifted + noise + dv + magnitude[:, None] * unit
-        gap = X - Y
-        new_dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
-        just_coupled = active & (new_dist <= delta)
-        tau_idx[just_coupled] = i + 1
-        coupled |= just_coupled
-        np.copyto(Y, X, where=coupled[:, None])
+        if rows.size:
+            dl = _take(d_clock[:, i], rows)
+            mask = dist > 0
+            unit = np.where(mask[:, None], diff / np.where(mask, dist, 1.0)[:, None], 0.0)
 
-        _check_states(i, X, Y)
+            # states after the drift step but before the common noise; the
+            # clipping distance is measurable without peeking at the increment
+            y_drifted = model.drift_step(t, hi, Y, method)
+            xi_i = dist0 * decay[i] / w_den
+            drift_gap = _take(x_drifted, rows) - y_drifted
+            after_common = np.sqrt(np.einsum("ij,ij->i", drift_gap, drift_gap))
+            magnitude = np.minimum(xi_i * dl, after_common)
+            rate = magnitude / dl
+            eta = rate[:, None] * model.diffusion.apply_inverse(t, unit)
+            eta_norm_sq = np.einsum("ij,ij->i", eta, eta)
+            w_log -= np.einsum("ij,ij->i", eta, _take(dw[:, i, :], rows)) + 0.5 * eta_norm_sq * dl
+            w_eta += eta_norm_sq * dl
+            if keep_path:
+                rates[rows, i] = rate
+
+            Y = y_drifted + _take(noise, rows) + dv + magnitude[:, None] * unit
+            Xw = _take(X, rows)
+            diff = Xw - Y
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            just = (dist <= delta) & apart
+            w_tau[just] = i + 1
+            apart ^= just
+            n_apart = int(np.count_nonzero(apart))
+            if n_apart < rows.size:
+                # a met pair has Y = X from here on: its drift gap, and so
+                # its steering, is exactly 0
+                Y = np.where(apart[:, None], Y, Xw)
+            if not np.abs(Y).max() <= _STATE_BOUND:
+                _check_states(i, X, _paste(X, Y, rows))
+
+            if 2 * n_apart <= rows.size and (n_apart != 1 or rows.size > 2):
+                log_weight[rows], eta_sq[rows], tau_idx[rows] = w_log, w_eta, w_tau
+                keep = np.flatnonzero(apart)
+                if n_apart == 1:
+                    keep = np.r_[keep, np.flatnonzero(~apart)[0]]
+                rows = rows[keep]
+                Xw, Y, diff, dist, apart, w_log, w_eta, w_tau, w_den = (
+                    _take(a, keep) for a in (Xw, Y, diff, dist, apart, w_log, w_eta, w_tau, w_den)
+                )
+        _check_states(i, X)
         if keep_path:
             hist_x.append(X.copy())
-            hist_y.append(Y.copy())
+            hist_y.append(_paste(X, Y, rows))
 
+    log_weight[rows], eta_sq[rows], tau_idx[rows] = w_log, w_eta, w_tau
     out = {
         "x_terminal": X,
-        "y_terminal": Y,
+        "y_terminal": _paste(X, Y, rows),
         "tau_index": tau_idx,
         "log_weight": log_weight,
         "eta_sq": eta_sq,

@@ -4,8 +4,13 @@ Work is split into fixed-size index chunks; each chunk derives its own
 random stream from its chunk index and writes results into a preallocated
 slice.  Reductions therefore do not depend on scheduling, and any worker
 count reproduces the single-threaded result bit for bit.  Worker threads
-suit the vectorized kernels here because numpy releases the GIL on large
-array operations.
+overlap only the time numpy spends inside an array operation with the GIL
+released.  On a 2-core Xeon, two 8192-path transfer-dw-gamma chunks
+(double well, gamma clock, 250 steps) on two threads took 0.6-0.7 of
+their serial time for the clock and Gaussian draws, but 1.1-1.2 for the
+plain step loop and 1.2-1.45 for the coupled one: those loops make many
+numpy calls of a few microseconds each, so the two threads mostly trade
+the lock.
 
 Modules never pick a worker count on their own; the experiment runner
 passes one down (``SUBHARNACK_WORKERS``, default single-threaded).

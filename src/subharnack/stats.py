@@ -65,13 +65,17 @@ class MCEstimate:
         return MCEstimate(mean=m**p, stderr=se + bias, n=self.n)
 
     def times(self, other):
-        """Product of two independent estimates with propagated stderr."""
+        """Product of two independent estimates with propagated stderr (inf
+        when a squared term overflows)."""
         mean = self.mean * other.mean
-        var = (
-            self.mean**2 * other.stderr**2
-            + other.mean**2 * self.stderr**2
-            + self.stderr**2 * other.stderr**2
-        )
+        try:
+            var = (
+                self.mean**2 * other.stderr**2
+                + other.mean**2 * self.stderr**2
+                + self.stderr**2 * other.stderr**2
+            )
+        except OverflowError:
+            var = math.inf
         return MCEstimate(mean=mean, stderr=math.sqrt(var), n=min(self.n, other.n))
 
     def plus(self, other):
@@ -93,7 +97,8 @@ def variance_estimate(values) -> MCEstimate:
     """Unbiased sample variance with its own standard error.
 
     stderr uses the standard fourth-moment formula
-    var(s^2) = (m4 - s^4 (n-3)/(n-1)) / n.
+    var(s^2) = (m4 - s^4 (n-3)/(n-1)) / n; it is inf where that formula is
+    not finite, as when m4 or s^4 overflows for heavy-tailed values.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -101,9 +106,15 @@ def variance_estimate(values) -> MCEstimate:
         raise ValueError("variance stderr needs at least 4 samples")
     centered = values - values.mean()
     s2 = float(centered.dot(centered) / (n - 1))
-    m4 = float(np.mean(centered**4))
-    var_of_var = max(0.0, (m4 - s2**2 * (n - 3) / (n - 1)) / n)
-    return MCEstimate(mean=s2, stderr=math.sqrt(var_of_var), n=n)
+    with np.errstate(over="ignore"):
+        m4 = float(np.mean(centered**4))
+    try:
+        s4 = s2**2
+    except OverflowError:
+        s4 = math.inf
+    var_of_var = (m4 - s4 * (n - 3) / (n - 1)) / n
+    stderr = math.sqrt(max(0.0, var_of_var)) if math.isfinite(var_of_var) else math.inf
+    return MCEstimate(mean=s2, stderr=stderr, n=n)
 
 
 def weighted_slope(x, y, stderr):

@@ -9,7 +9,7 @@ from subharnack import pathgen as pg
 from subharnack import sde
 from subharnack.parallel import CHUNK_SIZE
 from subharnack.observables import get_observable
-from subharnack.stats import MCEstimate
+from subharnack.stats import MCEstimate, variance_estimate
 
 
 def linear_law():
@@ -22,6 +22,16 @@ class TestEstimateAlgebra:
         logged = est.log()
         assert logged.mean == pytest.approx(math.log(2.0))
         assert logged.stderr == pytest.approx(0.05 + 0.1**2 / (2 * 4.0))
+
+
+    def test_overflowing_variance_stderr_is_infinite(self):
+        # the variance is finite; its square and the fourth moment are not
+        var = variance_estimate(np.array([1e80, -1e80, 0.0, 0.0, 0.0]))
+        assert var.mean == pytest.approx(5e159)
+        assert var.stderr == math.inf
+        product = var.times(MCEstimate(mean=2.0, stderr=0.1, n=5))
+        assert product.mean == pytest.approx(1e160)
+        assert product.stderr == math.inf
 
 
 class TestVerdictPolicy:

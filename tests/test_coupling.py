@@ -12,6 +12,7 @@ from subharnack import pathgen as pg
 from subharnack import sde
 from subharnack.parallel import CHUNK_SIZE
 from subharnack.stats import MCEstimate
+from test_sde import STEPPER_CASES
 
 
 def identity_clock(horizon, steps):
@@ -396,6 +397,227 @@ class TestBatchDiagnostics:
         ]
         assert np.array_equal(runs[0].log_weights, runs[1].log_weights)
         assert np.array_equal(runs[0].x_terminal, runs[1].x_terminal)
+
+
+def _reference_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method="euler"):
+    """The coupled stepper before met pairs left it, kept as the oracle.
+
+    Every row runs the whole pair update up to the horizon; a met row is
+    masked out of the steering and has Y pasted to X after every step.
+    ``cp._coupled_core`` must return the same bits.
+    """
+    times = grid.times
+    h = grid.step_sizes
+    n_steps = grid.n_steps
+    n = dw.shape[0]
+    dim = model.dim
+
+    dist0 = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+    _, decay, (xi_den, denominator) = cp.clock_decay(model.k_bound, times, d_clock)  # each (n,)
+
+    dv_steps = np.diff(model.perturbation.values_on(grid), axis=0)
+    X = np.array(np.broadcast_to(np.asarray(x, dtype=float), (n, dim)), order="F")
+    Y = np.array(np.broadcast_to(np.asarray(y, dtype=float), (n, dim)), order="F")
+    log_weight = np.zeros(n)
+    eta_sq = np.zeros(n)
+    rates = np.zeros((n, n_steps)) if keep_path else None
+    tau_idx = np.full(n, -1, dtype=np.int64)
+    coupled = np.zeros(n, dtype=bool)
+    if dist0 <= delta:
+        coupled[:] = True
+        tau_idx[:] = 0
+    hist_x = [X.copy()] if keep_path else None
+    hist_y = [Y.copy()] if keep_path else None
+
+    for i in range(n_steps):
+        t, hi = times[i], h[i]
+        dl = d_clock[:, i]
+        noise = model.diffusion.apply(t, dw[:, i, :])
+        dv = dv_steps[i]
+
+        active = ~coupled
+        diff = X - Y
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        mask = (dist > 0) & active
+        unit = np.where(mask[:, None], diff / np.where(mask, dist, 1.0)[:, None], 0.0)
+
+        # states after the drift step but before the common noise; the
+        # clipping distance is measurable without peeking at the increment
+        x_drifted = model.drift_step(t, hi, X, method)
+        y_drifted = model.drift_step(t, hi, Y, method)
+
+        xi_i = dist0 * decay[i] / xi_den  # (n,)
+        drift_gap = x_drifted - y_drifted
+        after_common = np.sqrt(np.einsum("ij,ij->i", drift_gap, drift_gap))
+        magnitude = np.where(active, np.minimum(xi_i * dl, after_common), 0.0)
+        rate = magnitude / dl
+        eta = rate[:, None] * model.diffusion.apply_inverse(t, unit)
+        eta_norm_sq = np.einsum("ij,ij->i", eta, eta)
+        log_weight -= np.einsum("ij,ij->i", eta, dw[:, i, :]) + 0.5 * eta_norm_sq * dl
+        eta_sq += eta_norm_sq * dl
+        if keep_path:
+            rates[:, i] = rate
+
+        X = x_drifted + noise + dv
+        Y = y_drifted + noise + dv + magnitude[:, None] * unit
+        gap = X - Y
+        new_dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+        just_coupled = active & (new_dist <= delta)
+        tau_idx[just_coupled] = i + 1
+        coupled |= just_coupled
+        np.copyto(Y, X, where=coupled[:, None])
+
+        sde._check_states(i, X, Y)
+        if keep_path:
+            hist_x.append(X.copy())
+            hist_y.append(Y.copy())
+
+    out = {
+        "x_terminal": X,
+        "y_terminal": Y,
+        "tau_index": tau_idx,
+        "log_weight": log_weight,
+        "eta_sq": eta_sq,
+        "denominator": denominator,
+    }
+    if keep_path:
+        out["path_x"] = np.stack(hist_x, axis=1)
+        out["path_y"] = np.stack(hist_y, axis=1)
+        out["rates"] = rates
+    return out
+
+
+def _batch_outputs(batch):
+    return (batch.x_terminal, batch.y_terminal, batch.tau_indices, batch.log_weights,
+            batch.eta_sq, batch.denominators)
+
+
+class TestWorkingSet:
+    """Met pairs leave the coupled step; the outputs keep every bit."""
+
+    @staticmethod
+    def run(monkeypatch, model, x, y, law, steps=20, delta=1e-6, method="euler", seed=44):
+        # the oracle is a run_coupled_batch call with the reference stepper
+        # in place, over two chunks; the stepper must match it at 1 and 2
+        # workers
+        args = (model, x, y, pg.TimeGrid.uniform(1.0, steps), law, CHUNK_SIZE + 17,
+                pg.RngStream(seed, purpose="working-set"))
+        with monkeypatch.context() as patch:
+            patch.setattr(cp, "_coupled_core", _reference_core)
+            ref = cp.run_coupled_batch(*args, delta_couple=delta, method=method)
+        for workers in (1, 2):
+            run = cp.run_coupled_batch(*args, delta_couple=delta, workers=workers, method=method)
+            for name, a, b in zip(("x", "y", "tau", "log_weight", "eta_sq", "denominator"),
+                                  _batch_outputs(ref), _batch_outputs(run)):
+                assert np.array_equal(a, b), name
+                assert a.flags.f_contiguous == b.flags.f_contiguous, name
+        return ref
+
+    @STEPPER_CASES
+    def test_zoo_steppers(self, monkeypatch, case):
+        build, method = case
+        model = build()
+        x = np.zeros(model.dim)
+        x[0] = 1.0
+        y = np.zeros(model.dim)
+        y[-1] = -0.3
+        ref = self.run(monkeypatch, model, x, y, pg.ClockLaw(bn.StableBernstein(0.75), epsilon=0.05), method=method)
+        assert np.any(ref.coupled_mask)
+
+    def test_start_within_delta(self, monkeypatch):
+        model = sde.make_model("ou", dim=2)
+        ref = self.run(monkeypatch, model, [1.0, 0.0], [1.0 + 1e-8, 0.0], pg.ClockLaw(bn.StableBernstein(0.75)))
+        assert np.all(ref.tau_indices == 0)
+        assert np.array_equal(ref.x_terminal, ref.y_terminal)
+
+    def test_never_meet(self, monkeypatch):
+        # the bound K = 0 understates the expanding drift 5x, so the steering
+        # (at most |x - y| in all) loses to a gap that grows by e^5
+        model = sde.SdeModel(
+            dim=1,
+            drift=sde.DriftModel(func=lambda t, x: 5.0 * x, one_sided_bound=lambda t: 0.0),
+            diffusion=sde.DiffusionModel.isotropic(1.0),
+            perturbation=sde.PerturbationModel.zero(1),
+        )
+        ref = self.run(monkeypatch, model, [1.0], [0.0], pg.ClockLaw(bn.LinearBernstein()))
+        assert np.all(ref.tau_indices == -1)
+
+    def test_working_set_halves_twice(self, monkeypatch):
+        # the transfer-dw-gamma model and clock: no step meets a tenth of
+        # the first chunk's pairs and nine tenths meet, so its working set
+        # first halves with more than 0.4 n rows left, and again later
+        ramp = sde.PerturbationModel.from_function(lambda t: np.array([0.5 * t]), 1)
+        model = sde.make_model("double_well", dim=1, perturbation=ramp)
+        law = pg.ClockLaw(bn.GammaBernstein(4.0, 4.0), epsilon=0.05)
+        ref = self.run(monkeypatch, model, [1.0], [0.0], law, steps=40, method="semi_implicit")
+        first = ref.tau_indices[:CHUNK_SIZE]
+        assert np.mean(first >= 0) >= 0.9
+        assert np.bincount(first[first >= 0]).max() < CHUNK_SIZE / 10
+
+    @pytest.mark.parametrize("modes, n_paths, seed", [(16, 40, 2), (64, 8, 0)])
+    def test_wide_truncation_keeps_two_rows(self, modes, n_paths, seed):
+        # reductions over 16 or 64 coordinates of a lone row take another
+        # summation order than over a column-major batch; on these draws a
+        # working set of one row would change the log weight
+        model = gk.SemilinearModel(
+            spectrum=gk.SpectrumModel.from_power_law(modes, 2.0),
+            force=lambda t, x: np.sin(x),
+            force_lipschitz=lambda t: 1.0,
+            sigma_diag=np.linspace(1.0, 2.0, modes),
+        )
+        grid = pg.TimeGrid.uniform(1.0, 20)
+        gen = pg.RngStream(seed, purpose="wide").generator()
+        x = gen.standard_normal(modes)
+        y = x + 0.3 * gen.standard_normal(modes)
+        clock = pg.ClockLaw(bn.StableBernstein(0.75)).sample_coupling(grid, gen, n_paths)
+        d_clock, dw = cp._coupling_noise(clock, modes, gen)
+        for keep_path in (False, True):
+            ref = _reference_core(model, x, y, grid, d_clock, dw, 1e-6, keep_path=keep_path)
+            run = cp._coupled_core(model, x, y, grid, d_clock, dw, 1e-6, keep_path=keep_path)
+            assert ref.keys() == run.keys()
+            for key in ref:
+                assert np.array_equal(ref[key], run[key]), key
+        assert np.mean(ref["tau_index"] >= 0) >= 0.8
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_failed_rows_count_both_sides(self):
+        # under the drift 1e6 x^3, Y from y = 1 leaves the state bound at
+        # step 3 while X from 0 stays put, except in the row whose kick of
+        # -20001 swaps the two; n_failed counts the rows of both sides
+        model = sde.SdeModel(
+            dim=1,
+            drift=sde.DriftModel(func=lambda t, x: x**3 * 1e6, one_sided_bound=lambda t: 0.0),
+            diffusion=sde.DiffusionModel.isotropic(1.0),
+            perturbation=sde.PerturbationModel.zero(1),
+        )
+        grid = pg.TimeGrid.uniform(1.0, 50)
+        kicks = np.array([0.0, 100.0, -100.0, -20001.0, 1e-3])
+        dw = np.zeros((kicks.size, grid.n_steps, 1))
+        dw[:, 0, 0] = kicks
+        d_clock = np.tile(grid.step_sizes, (kicks.size, 1))
+        errors = []
+        for core in (_reference_core, cp._coupled_core):
+            with pytest.raises(sde.IntegrationError) as err:
+                core(model, [0.0], [1.0], grid, d_clock, dw, 1e-9)
+            errors.append((err.value.step_index, err.value.n_failed))
+        assert errors[0] == errors[1] == (3, kicks.size)
+
+    @pytest.mark.parametrize("x, y", [([1.0, 0.5], [-0.5, 0.2]), ([1.0, 0.5], [1.0, 0.5 + 1e-9])], ids=["apart", "within-delta"])
+    def test_simulate_coupled(self, x, y):
+        clock = identity_clock(1.0, 200)
+        model = sde.make_model("rotating", dim=2)
+        bm = pg.sample_timechanged_bm(clock, 2, pg.RngStream(46, purpose="single"))
+        cfg = cp.CouplingConfig(x=x, y=y, model=model, clock=clock, delta_couple=1e-6)
+        path = cp.simulate_coupled(cfg, bm)
+        ref = _reference_core(model, cfg.x, cfg.y, clock.grid, np.diff(clock.values)[None, :],
+                              bm.increments[None, :, :], 1e-6, keep_path=True)
+        assert np.array_equal(path.primary.states, ref["path_x"][0])
+        assert np.array_equal(path.secondary.states, ref["path_y"][0])
+        assert np.array_equal(path.applied_rates, ref["rates"][0])
+        assert path.log_weight == ref["log_weight"][0]
+        assert path.eta_sq_integral == ref["eta_sq"][0]
+        assert (path.tau_index if path.coupled else -1) == ref["tau_index"][0]
 
 
 class TestCoupledStepping:
