@@ -41,8 +41,6 @@ from .galerkin import (
     SemilinearModel,
     SpectrumModel,
     dimension_free_check,
-    integrate_mild,
-    stochastic_convolution,
 )
 from .observables import Observable, get_observable
 from .pathgen import (
@@ -65,7 +63,6 @@ from .sde import (
     integrate,
     make_model,
     semigroup_estimate,
-    yoshida_drift,
 )
 
 __version__ = "0.1.0"

@@ -540,6 +540,8 @@ def stable_rate_check(theta, model: SdeModel, T_grid, n_paths, stream: RngStream
         raise ValueError("rate fit needs at least 4 horizons")
     if np.any(T_grid <= 0) or np.any(T_grid > 1.0 + 1e-12):
         raise ValueError("rate fit horizons must lie in (0, 1]")
+    if np.unique(T_grid).size != T_grid.size:
+        raise ValueError("rate fit horizons must be distinct")
     for t in (0.0, float(T_grid.max())):
         if abs(model.k_bound(t)) > 1e-12 or abs(model.lambda_bound(t) - 1.0) > 1e-12:
             raise ValueError("rate fit requires K = 0 and lambda = 1")

@@ -167,6 +167,7 @@ CONFIG_SCHEMA = {
                 "horizons": {
                     "type": "array",
                     "minItems": 4,
+                    "uniqueItems": True,
                     "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 },
             },
@@ -176,7 +177,12 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["dims"],
             "properties": {
-                "dims": {"type": "array", "minItems": 2, "items": {"type": "integer", "minimum": 1}},
+                "dims": {
+                    "type": "array",
+                    "minItems": 2,
+                    "uniqueItems": True,
+                    "items": {"type": "integer", "minimum": 1},
+                },
                 "gamma": {"type": "number", "exclusiveMinimum": 0},
                 "force": {"enum": ["zero", "saturating"]},
                 "sigma": {"type": "number", "exclusiveMinimum": 0},

@@ -1,6 +1,5 @@
-"""Spectral truncation of a semilinear equation with damping operator A,
-the stochastic convolution driven by the subordinated noise, and the
-dimension-free behaviour of the Harnack certificates across truncation
+"""Spectral truncation of a semilinear equation with damping operator A and
+the dimension-free behaviour of the Harnack certificates across truncation
 levels.
 
 The per-mode picture: A e_j = -rho_j e_j, and the mild solution damps each
@@ -18,7 +17,9 @@ operators are rejected as unsupported.
 applies the diagonal sigma element-wise.  The plain stepper
 ``sde.euler_steps``, ``sde.terminal_states`` and the coupling in
 ``coupling`` therefore run on the truncation directly, with the same
-exponential-Euler step on both sides of every transfer identity.
+exponential-Euler step on both sides of every transfer identity.  The
+stochastic convolution int_0^t e^{(t-s)A} sigma dW_{S(s)} is ``sde.integrate``
+(or ``sde.euler_steps``) on a truncation with zero force, started at 0.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import harnack_rate_constant, log_harnack_certificate
-from .pathgen import ClockLaw, RngStream, SubordinatorPath, TimeGrid, sample_timechanged_bm
-from .sde import DiffusionModel, PerturbationModel, Trajectory, integrate
+from .pathgen import ClockLaw, RngStream, TimeGrid
+from .sde import DiffusionModel, PerturbationModel
 from .stats import weighted_slope
 
 __all__ = [
     "SpectrumModel",
     "SemilinearModel",
-    "stochastic_convolution",
-    "integrate_mild",
     "DimensionFreeResult",
     "dimension_free_check",
 ]
@@ -69,14 +68,9 @@ class SpectrumModel:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def hs_integral(self, t) -> float:
-        """Truncated value of int_0^t sum_j exp(-2 rho_j s) ds."""
-        rho = self.eigenvalues
-        out = np.where(rho > 0, (1.0 - np.exp(-2.0 * rho * t)) / np.where(rho > 0, 2.0 * rho, 1.0), t)
-        return float(out.sum())
-
     def hs_series_converges(self):
-        """Whether the full (untruncated) law keeps the diagnostic finite.
+        """Whether the full (untruncated) law keeps the Hilbert-Schmidt
+        diagnostic int_0^t sum_j exp(-2 rho_j s) ds finite.
 
         For the polynomial law rho_j = j^gamma the series sums 1/(2 j^gamma)
         and converges iff gamma > 1.  Unknown laws return None.
@@ -150,23 +144,6 @@ class SemilinearModel:
         return np.exp(-rho * h) * states + forcing
 
 
-def stochastic_convolution(spectrum: SpectrumModel, sigma_diag, clock: SubordinatorPath, grid: TimeGrid = None, rng=None) -> Trajectory:
-    """One path of int_0^t e^{(t-s)A} sigma dW_{S(s)} by exponentially damped sums."""
-    model = SemilinearModel(
-        spectrum=spectrum,
-        force=lambda t, x: np.zeros_like(x),
-        force_lipschitz=lambda t: 0.0,
-        sigma_diag=sigma_diag,
-        label="convolution",
-    )
-    return integrate_mild(np.zeros(spectrum.n_modes), model, clock, grid=grid, rng=rng)
-
-
-def integrate_mild(x0, model: SemilinearModel, clock: SubordinatorPath, grid: TimeGrid = None, rng=None) -> Trajectory:
-    """One mild-solution path driven by a sampled subordinator clock."""
-    return integrate(x0, model, sample_timechanged_bm(clock, model.dim, rng), grid)
-
-
 @dataclass(frozen=True)
 class DimensionFreeResult:
     dims: tuple
@@ -203,6 +180,8 @@ def dimension_free_check(model_family, f, x, y, horizon, dims, clock_law: ClockL
     trend as the dimension grows.
     """
     dims = tuple(int(n) for n in dims)
+    if len(set(dims)) != len(dims):
+        raise ValueError("dimension-free checks need distinct dims")
     cylinder = getattr(f, "cylinder_dim", None)
     if cylinder is None or cylinder > min(dims):
         raise ValueError(

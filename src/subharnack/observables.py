@@ -20,7 +20,6 @@ class Observable:
     name: str
     fn: callable
     sup_norm: float | None
-    strictly_positive: bool
     cylinder_dim: int | None  # reads only the first m coordinates; None = all
     params: dict = field(default_factory=dict)
 
@@ -52,7 +51,6 @@ def get_observable(name, dim, **params) -> Observable:
             name=name,
             fn=lambda z: np.ones(z.shape[0]),
             sup_norm=1.0,
-            strictly_positive=True,
             cylinder_dim=0,
         )
     if name == "sin1":
@@ -60,7 +58,6 @@ def get_observable(name, dim, **params) -> Observable:
             name=name,
             fn=lambda z: 2.0 + np.sin(z[:, 0]),
             sup_norm=3.0,
-            strictly_positive=True,
             cylinder_dim=1,
         )
     if name == "bump":
@@ -73,7 +70,6 @@ def get_observable(name, dim, **params) -> Observable:
             name=name,
             fn=lambda z, _m=coords: np.exp(-np.einsum("ij,ij->i", z[:, :_m], z[:, :_m])),
             sup_norm=1.0,
-            strictly_positive=True,
             cylinder_dim=coords if coords < dim else None,
             params={"coords": coords},
         )
@@ -94,7 +90,6 @@ def get_observable(name, dim, **params) -> Observable:
             name=name,
             fn=lambda z, _a=direction: np.exp(z @ _a),
             sup_norm=None,
-            strictly_positive=True,
             cylinder_dim=cylinder if cylinder < dim else None,
             params={"direction": direction.tolist()},
         )
@@ -103,7 +98,6 @@ def get_observable(name, dim, **params) -> Observable:
             name=name,
             fn=lambda z: np.minimum(1.0, np.linalg.norm(z, axis=1)),
             sup_norm=1.0,
-            strictly_positive=False,
             cylinder_dim=None,
         )
     raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLE_NAMES}")

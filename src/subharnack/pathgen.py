@@ -329,6 +329,8 @@ def sample_subordinator_increments(bf: BernsteinFunction, durations, gen, n_path
 def sample_subordinator(bf: BernsteinFunction, grid: TimeGrid, rng, initial_value=0.0) -> SubordinatorPath:
     """Sample a subordinator path on the grid.
 
+    The public n = 1 view of ``sample_subordinator_increments``.
+
     ``initial_value`` lets a continuation grid (starting at the horizon of a
     previous path) pick up where that path ended, so both pieces form one
     jointly sampled path.
@@ -390,6 +392,8 @@ def regularized_values(base_times, comb_times, comb_values, epsilon, out=None):
 
 def regularize(path: SubordinatorPath, epsilon, extension: SubordinatorPath | None = None) -> RegularizedClock:
     """Sliding-window regularization: (1/eps) * integral_t^{t+eps} S + eps*t.
+
+    The public n = 1 view of ``regularized_values``.
 
     ``extension`` continues the same sampled path on [T, T + eps]; its first
     value must match the path value at T.

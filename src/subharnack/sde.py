@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "IntegrationError",
     "integrate",
-    "yoshida_drift",
     "semigroup_estimate",
     "terminal_states",
     "make_model",
@@ -89,10 +88,11 @@ class DriftModel:
     ``one_sided_bound(t)`` returns K_t with
     <b_t(x) - b_t(y), x - y> <= K_t |x - y|^2.
 
-    ``implicit_solve(t, h, rhs)``, when provided, returns the resolvent
-    y with y - h b_t(y) = rhs for batched rhs; it enables the vectorized
+    ``implicit_solve(t, h, rhs)`` returns the resolvent y with
+    y - h b_t(y) = rhs for batched rhs.  It is required for the
     semi-implicit drift step (explicit Euler can blow up for superlinear
-    drifts under unbounded noise kicks).
+    drifts under unbounded noise kicks); without it that step raises
+    ValueError.
     """
 
     func: callable
@@ -153,44 +153,28 @@ class DiffusionModel:
 class PerturbationModel:
     """Additive perturbation path V_t with V_0 = 0.
 
-    Supported kinds: identically zero, a deterministic function of time, or
-    values pre-sampled on the integration grid (one shared path).
+    The perturbation is zero (``func`` is None) or a deterministic function
+    of time.
     """
 
-    kind: str
     dim: int
     func: callable | None = None
-    sample_grid: TimeGrid | None = None
-    samples: np.ndarray | None = None
 
     @classmethod
     def zero(cls, dim):
-        return cls(kind="zero", dim=dim)
+        return cls(dim=dim)
 
     @classmethod
     def from_function(cls, func, dim):
         v0 = np.asarray(func(0.0), dtype=float)
         if not np.allclose(v0, 0.0, atol=1e-12):
             raise ValueError("perturbation must start at V_0 = 0")
-        return cls(kind="deterministic", dim=dim, func=func)
-
-    @classmethod
-    def from_samples(cls, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != grid.times.size:
-            raise ValueError("sampled perturbation must live on the grid")
-        if not np.allclose(values[0], 0.0, atol=1e-12):
-            raise ValueError("perturbation must start at V_0 = 0")
-        return cls(kind="sampled", dim=values.shape[1], sample_grid=grid, samples=values)
+        return cls(dim=dim, func=func)
 
     def values_on(self, grid: TimeGrid):
-        if self.kind == "zero":
+        if self.func is None:
             return np.zeros((grid.times.size, self.dim))
-        if self.kind == "deterministic":
-            return np.stack([np.asarray(self.func(t), dtype=float) for t in grid.times])
-        if not np.array_equal(self.sample_grid.times, grid.times):
-            raise ValueError("sampled perturbation grid does not match the integration grid")
-        return self.samples
+        return np.stack([np.asarray(self.func(t), dtype=float) for t in grid.times])
 
 
 @dataclass(frozen=True)
@@ -216,12 +200,15 @@ class SdeModel:
         Method "euler" is the explicit step with the drift at the left
         endpoint.  Method "semi_implicit" moves through the resolvent
         (y - h b(y) = x), which stays stable for strongly contracting or
-        superlinear drifts where the explicit step can oscillate or blow up.
+        superlinear drifts where the explicit step can oscillate or blow up;
+        it needs the drift's ``implicit_solve``.
         """
         if method == "euler":
             return states + np.asarray(self.drift.func(t, states), dtype=float) * h
         if method == "semi_implicit":
-            return _implicit_drift_map(self, t, h, states)
+            if self.drift.implicit_solve is None:
+                raise ValueError("semi-implicit stepping needs a drift with implicit_solve")
+            return np.asarray(self.drift.implicit_solve(t, h, states), dtype=float)
         raise ValueError(f"unknown integration method {method!r}")
 
 
@@ -249,53 +236,6 @@ class Trajectory:
             writer.writerow(["t"] + [f"X_{j + 1}" for j in range(d)])
             for t, row in zip(self.grid.times, self.states):
                 writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-
-
-def _newton_solve(residual, x_start, tol=1e-12, max_iter=100, fd_eps=1e-7):
-    """Damped Newton with finite-difference Jacobians for small systems."""
-    x = np.array(x_start, dtype=float)
-    d = x.size
-    res = residual(x)
-    norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if norm <= tol:
-            return x
-        jac = np.empty((d, d))
-        for j in range(d):
-            bumped = x.copy()
-            step = fd_eps * max(1.0, abs(x[j]))
-            bumped[j] += step
-            jac[:, j] = (residual(bumped) - res) / step
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            delta = -res
-        damping = 1.0
-        for _ in range(40):
-            candidate = x + damping * delta
-            cand_res = residual(candidate)
-            cand_norm = float(np.linalg.norm(cand_res))
-            if cand_norm < norm:
-                x, res, norm = candidate, cand_res, cand_norm
-                break
-            damping *= 0.5
-        else:
-            break
-    if norm > tol:
-        raise RuntimeError(f"Newton iteration stalled at residual {norm:.3e}")
-    return x
-
-
-def _implicit_drift_map(model: SdeModel, t, h, states):
-    """Resolve y - h b_t(y) = states, vectorized when the model supports it."""
-    if model.drift.implicit_solve is not None:
-        return np.asarray(model.drift.implicit_solve(t, h, states), dtype=float)
-    out = np.empty_like(states)
-    for p in range(states.shape[0]):
-        def residual(x, _rhs=states[p], _t=t, _h=h):
-            return x - _h * np.asarray(model.drift.func(_t, x), dtype=float) - _rhs
-        out[p] = _newton_solve(residual, states[p])
-    return out
 
 
 def euler_steps(model: SdeModel, x0s, grid: TimeGrid, dw, keep_path=False, method="euler"):
@@ -334,34 +274,6 @@ def integrate(x0, model: SdeModel, bm, grid: TimeGrid | None = None, method="eul
         raise ValueError("initial condition dimension does not match the model")
     path = euler_steps(model, x0[None, :], grid, bm.increments[None, :, :], keep_path=True, method=method)
     return Trajectory(grid=grid, states=path[0])
-
-
-def yoshida_drift(drift_func, n, t, x, tol=1e-12, max_iter=100):
-    """Resolvent approximation of a dissipative drift.
-
-    Returns n * (y - x) where y solves y - b_t(y)/n = x.  The result is
-    globally Lipschitz, stays dissipative, and its norm never exceeds the
-    norm of the original drift (checked within 1e-10).
-    """
-    if n <= 0:
-        raise ValueError("resolvent index n must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def residual(y):
-        return y - np.asarray(drift_func(t, y), dtype=float) / n - x
-
-    try:
-        y = _newton_solve(residual, x, tol=tol, max_iter=max_iter)
-    except RuntimeError as exc:
-        raise RuntimeError(f"Yoshida resolvent solve failed: {exc}") from exc
-    out = n * (y - x)
-    full = np.asarray(drift_func(t, x), dtype=float)
-    if np.linalg.norm(out) > np.linalg.norm(full) + 1e-10:
-        raise RuntimeError(
-            "resolvent drift exceeded the original drift norm; "
-            "the supplied drift is not dissipative"
-        )
-    return out
 
 
 def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler"):

@@ -259,7 +259,6 @@ def test_criterion_08_gradient_bound():
 
     class Sin:
         sup_norm = 1.0
-        strictly_positive = False
 
         def __call__(self, z):
             return np.sin(np.atleast_2d(z)[:, 0])

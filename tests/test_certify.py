@@ -367,7 +367,6 @@ class TestGradientBound:
 
         class Sin:
             sup_norm = 1.0
-            strictly_positive = False
 
             def __call__(self, z):
                 return np.sin(np.atleast_2d(z)[:, 0])
@@ -551,6 +550,14 @@ class TestStableRateCheck:
             ct.stable_rate_check(
                 0.5, model, np.array([0.1, 0.4, 0.8]), 1000,
                 pg.RngStream(26, purpose="few"),
+            )
+
+    def test_repeated_horizons_rejected(self):
+        model = sde.make_model("zero", dim=1)
+        with pytest.raises(ValueError, match="distinct"):
+            ct.stable_rate_check(
+                0.5, model, np.array([0.5, 0.5, 0.5, 0.5]), 1000,
+                pg.RngStream(28, purpose="repeat"),
             )
 
     def test_nonzero_bound_model_rejected(self):

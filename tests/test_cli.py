@@ -115,6 +115,33 @@ class TestRunExperiments:
         assert cli.run_config(config, base_dir=tmp_path) == 64
         assert "config error" in capsys.readouterr().err
 
+    def test_repeated_rate_check_horizon_is_config_error(self, tmp_path, capsys):
+        # four equal horizons leave the log-log slope undefined
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "rate-check",
+            "rate_check": {"theta": 0.5, "horizons": [0.5, 0.5, 0.5, 0.5]},
+            "mc": {"n_paths": 100, "seed": 0},
+            "output": {"dir": "rate"},
+        }
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        assert "config error" in capsys.readouterr().err
+
+    def test_repeated_galerkin_dim_is_config_error(self, tmp_path, capsys):
+        # two equal dims leave the trend slope undefined
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "galerkin-check",
+            "clock": {"type": "linear"},
+            "grid": {"horizon": 1.0, "steps": 8},
+            "galerkin": {"dims": [4, 4]},
+            "points": {"x": [0.0], "y": [1.0]},
+            "mc": {"n_paths": 100, "seed": 0},
+            "output": {"dir": "gal"},
+        }
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        assert "config error" in capsys.readouterr().err
+
     def test_stalled_sampler_exit_code(self, tmp_path, capsys, monkeypatch):
         # acceptance probability exp(-kappa^theta h) is 0 here, so the stall
         # is known before any proposal (the 10,000 rounds took 11 s on a

@@ -47,11 +47,6 @@ class TestSpectrumModel:
         with pytest.raises(ValueError):
             gk.SpectrumModel(eigenvalues=np.array([2.0, 1.0]))
 
-    def test_hs_integral_with_zero_mode(self):
-        spec = gk.SpectrumModel(eigenvalues=np.array([0.0, 1.0]))
-        expected = 1.0 + (1.0 - math.exp(-2.0)) / 2.0
-        assert spec.hs_integral(1.0) == pytest.approx(expected, abs=1e-12)
-
     def test_series_convergence_flag(self):
         assert gk.SpectrumModel.from_power_law(8, 2.0).hs_series_converges() is True
         assert gk.SpectrumModel.from_power_law(8, 1.0).hs_series_converges() is False
@@ -92,10 +87,10 @@ class TestSemilinearModel:
 class TestStochasticConvolution:
     def test_zero_damping_reduces_to_time_changed_bm(self):
         grid = pg.TimeGrid.uniform(1.0, 100)
-        spec = gk.SpectrumModel(eigenvalues=np.array([0.0, 0.0]))
         clock = pg.sample_subordinator(bn.StableBernstein(0.75), grid, pg.RngStream(1, purpose="c"))
-        traj = gk.stochastic_convolution(spec, 1.0, clock, rng=pg.RngStream(2, purpose="w"))
         bm = pg.sample_timechanged_bm(clock, 2, pg.RngStream(2, purpose="w"))
+        # the stochastic convolution is the zero-force truncation started at 0
+        traj = sde.integrate(np.zeros(2), diagonal_model([0.0, 0.0]), bm)
         walk = np.vstack([np.zeros((1, 2)), np.cumsum(bm.increments, axis=0)])
         np.testing.assert_allclose(traj.states, walk, atol=1e-12)
 
@@ -194,9 +189,10 @@ class TestIntegrateMild:
         grid = pg.TimeGrid.uniform(1.0, 10)
         other = pg.TimeGrid.uniform(1.0, 20)
         clock = pg.sample_subordinator(bn.LinearBernstein(), grid, pg.RngStream(0))
+        bm = pg.sample_timechanged_bm(clock, 1, pg.RngStream(1))
         model = diagonal_model([1.0])
         with pytest.raises(ValueError, match="aligned"):
-            gk.integrate_mild([0.0], model, clock, grid=other, rng=pg.RngStream(1))
+            sde.integrate([0.0], model, bm, grid=other)
 
 
 class TestCouplingOnTruncatedSystem:
@@ -319,4 +315,13 @@ class TestDimensionFreeCheck:
             gk.dimension_free_check(
                 self.family(), f, [0.0], [1.0], 1.0, (4, 8), law, 2000,
                 pg.RngStream(14, purpose="dimbad"),
+            )
+
+    def test_repeated_dims_rejected(self):
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        f = get_observable("sin1", 4)
+        with pytest.raises(ValueError, match="distinct"):
+            gk.dimension_free_check(
+                self.family(), f, [0.0], [1.0], 1.0, (4, 4), law, 2000,
+                pg.RngStream(15, purpose="dimrepeat"),
             )

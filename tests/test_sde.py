@@ -116,6 +116,19 @@ class TestIntegrate:
         assert abs(explicit.terminal[0]) > 1e6
         assert abs(implicit.terminal[0]) < 1e-3
 
+    def test_semi_implicit_needs_implicit_solve(self):
+        # the resolvent is the drift's own; a drift without one has no
+        # semi-implicit step
+        model = sde.SdeModel(
+            dim=1,
+            drift=sde.DriftModel(func=lambda t, x: -x, one_sided_bound=lambda t: -1.0),
+            diffusion=sde.DiffusionModel.isotropic(1.0),
+            perturbation=sde.PerturbationModel.zero(1),
+        )
+        grid = pg.TimeGrid.uniform(1.0, 10)
+        with pytest.raises(ValueError, match="implicit_solve"):
+            sde.integrate([1.0], model, zero_noise(grid), method="semi_implicit")
+
     def test_richardson_first_order(self):
         # halve h twice; successive differences shrink roughly by 2
         model = sde.make_model("double_well", dim=1)
@@ -393,41 +406,6 @@ class TestRegularizationConvergence:
             raw, clocks = regularized_clock_ladder(bn.StableBernstein(0.6), grid, self.EPS_LEVELS, 1200 + seed)
             gaps = [np.max(vals - raw) for vals in clocks]
             assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
-
-
-class TestYoshida:
-    def test_linear_closed_form(self):
-        # b(x) = -a x: resolvent drift is -a n x / (n + a)
-        out = sde.yoshida_drift(lambda t, x: -2.0 * x, 2, 0.0, [1.0])
-        assert out[0] == pytest.approx(-1.0, abs=1e-12)
-        out = sde.yoshida_drift(lambda t, x: -2.0 * x, 6, 0.0, [3.0])
-        assert out[0] == pytest.approx(-2.0 * 6 * 3.0 / 8.0, abs=1e-10)
-
-    def test_zero_drift(self):
-        out = sde.yoshida_drift(lambda t, x: np.zeros_like(x), 5, 0.0, [2.0, -1.0])
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-    def test_cubic_monotone_limit(self):
-        # oracle: y + y^3/n = x solved from the real root of the cubic
-        def oracle(n, x):
-            roots = np.roots([1.0 / n, 0.0, 1.0, -x])
-            real = roots[np.abs(roots.imag) < 1e-12].real
-            y = real[np.argmin(np.abs(real - x))]
-            return n * (y - x)
-
-        values = []
-        for n in (1, 10, 100, 1000, 10_000):
-            got = sde.yoshida_drift(lambda t, x: -(x**3), n, 0.0, [1.0])[0]
-            assert got == pytest.approx(oracle(n, 1.0), abs=1e-9)
-            values.append(got)
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(-1.0, abs=1e-3)
-
-    def test_norm_never_exceeds_original(self):
-        for n in (1, 10, 100):
-            for x in (-2.0, 0.5, 3.0):
-                out = sde.yoshida_drift(lambda t, x_: -(x_**3) - x_, n, 0.0, [x])
-                assert np.linalg.norm(out) <= abs(-(x**3) - x) + 1e-10
 
 
 class TestSemigroupEstimate:
