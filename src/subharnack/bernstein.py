@@ -51,7 +51,12 @@ class QuadratureError(RuntimeError):
 
     def __init__(self, message, achieved):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
+        self.message = message
         self.achieved = achieved
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses a worker process's pipe
+        return type(self), (self.message, self.achieved)
 
 
 @dataclass(frozen=True)

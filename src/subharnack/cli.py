@@ -7,8 +7,8 @@ deterministic parallel seeding, and writes ``report.json``, an optional
 directory.
 
 Exit codes: 0 certified/completed, 2 violated, 3 inconclusive, 64 config
-errors, 70 runtime numeric errors.  The worker count comes from
-``SUBHARNACK_WORKERS`` (default 1) and never appears in the report, so
+errors, 70 runtime numeric errors.  The number of worker processes comes
+from ``SUBHARNACK_WORKERS`` (default 1) and never appears in the report, so
 reports are byte-identical across worker counts up to the runtime field.
 """
 
@@ -281,6 +281,35 @@ def _grid(config) -> TimeGrid:
     return TimeGrid.uniform(config["horizon"], config["steps"])
 
 
+# Eigenvalues of the zoo's linear drifts; the CLI steps every model by
+# explicit Euler, which is stable only where |1 + h lambda| < 1.
+_LINEAR_EIGENVALUES = {
+    "ou": lambda p: -p["rate"],
+    "rotating": lambda p: complex(-p["contraction"], p["omega"]),
+}
+
+
+def _model_on_grid(config):
+    """The zoo model and its grid, refused where explicit Euler is unstable.
+
+    An unstable step grows the states geometrically; below the state bound
+    of ``sde.IntegrationError`` that would still give a verdict.
+    """
+    model = _model(config["model"])
+    grid = _grid(config["grid"])
+    eigenvalue = _LINEAR_EIGENVALUES.get(model.label)
+    if eigenvalue is not None:
+        lam = eigenvalue(model.params)
+        h = float(np.max(grid.step_sizes))
+        if abs(1.0 + h * lam) >= 1.0:
+            raise ConfigError(
+                f"explicit Euler is unstable for model {model.label!r} on this grid: "
+                f"|1 + h lambda| = {abs(1.0 + h * lam):.4g} >= 1 at step h = {h:.4g}; "
+                f"h must be below {-2.0 * lam.real / abs(lam) ** 2:.4g}"
+            )
+    return model, grid
+
+
 def _points(config, dim):
     pts = config.get("points", {})
     x = np.asarray(pts.get("x", np.zeros(dim)), dtype=float)
@@ -295,9 +324,8 @@ def _verdict_exit(verdict):
 
 
 def _run_simulate(config, workers):
-    model = _model(config["model"])
+    model, grid = _model_on_grid(config)
     law = _clock_law(config["clock"])
-    grid = _grid(config["grid"])
     f = _observable(config["observable"], model.dim)
     x, _ = _points(config, model.dim)
     stream = RngStream(config["mc"]["seed"], purpose="simulate")
@@ -321,9 +349,8 @@ def _run_simulate(config, workers):
 
 
 def _run_couple(config, workers):
-    model = _model(config["model"])
+    model, grid = _model_on_grid(config)
     law = _clock_law(config["clock"])
-    grid = _grid(config["grid"])
     x, y = _points(config, model.dim)
     delta = config.get("certify", {}).get("delta_couple")
     stream = RngStream(config["mc"]["seed"], purpose="couple")
@@ -359,9 +386,8 @@ def _run_couple(config, workers):
 
 def _run_certificate(config, workers):
     experiment = config["experiment"]
-    model = _model(config["model"])
+    model, grid = _model_on_grid(config)
     law = _clock_law(config["clock"])
-    grid = _grid(config["grid"])
     f = _observable(config["observable"], model.dim)
     x, y = _points(config, model.dim)
     n = config["mc"]["n_paths"]
@@ -640,8 +666,8 @@ def main(argv=None) -> int:
     mom.add_argument("--out", default="out")
 
     args = parser.parse_args(argv)
-    # verdicts and exit statuses report non-finite numbers; unlike the
-    # per-thread np.errstate, a warnings filter also reaches worker threads
+    # verdicts and exit statuses report non-finite numbers; forked worker
+    # processes inherit the filter
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         if args.command == "run":

@@ -68,6 +68,10 @@ class IntegrationError(RuntimeError):
         self.step_index = step_index
         self.n_failed = n_failed
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses a worker process's pipe
+        return type(self), (self.step_index, self.n_failed)
+
 
 def _check_states(step_index, *states):
     """Raise ``IntegrationError`` when an entry is NaN or beyond ``_STATE_BOUND``.

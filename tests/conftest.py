@@ -5,11 +5,16 @@
 Other ``PYTHONPATH`` entries are kept, made absolute against the directory
 pytest was started from; a relative ``PYTHONPATH=src`` would otherwise point
 nowhere in a child started with ``cwd=tmp_path``.
+
+Every test must also leave no child process behind: a forked worker that is
+still running or was never reaped fails the test that started it.
 """
 
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -18,3 +23,13 @@ if sys.path[:1] != [SRC]:
 
 _entries = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 os.environ["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in _entries if p != SRC])
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process (waitpid gave pid {pid})")

@@ -142,6 +142,51 @@ class TestRunExperiments:
         assert cli.run_config(config, base_dir=tmp_path) == 64
         assert "config error" in capsys.readouterr().err
 
+    @staticmethod
+    def stiff_config(model, steps):
+        return {
+            "schema": "subharnack/1",
+            "experiment": "certify-log",
+            "model": model,
+            "clock": {"type": "stable", "theta": 0.75},
+            "grid": {"horizon": 1.0, "steps": steps},
+            "mc": {"n_paths": 2000, "seed": 0},
+            "observable": {"name": "sin1"},
+            "points": {"x": [0.0] * model["dim"], "y": [1.0] + [0.0] * (model["dim"] - 1)},
+            "output": {"dir": "stiff"},
+        }
+
+    @pytest.mark.parametrize(
+        "model, steps",
+        [
+            # h * rate = 2.4: the states grow 1.4x per step yet stay under
+            # the state bound, and the run read "certified"
+            ({"name": "ou", "dim": 1, "rate": 300.0}, 125),
+            ({"name": "ou", "dim": 1, "rate": 300.0}, 149),  # h * rate = 2.013
+            # bound h (c^2 + omega^2) >= 2 c: h >= 2 / 401 = 0.0049875
+            ({"name": "rotating", "dim": 2, "contraction": 1.0, "omega": 20.0}, 200),
+        ],
+        ids=["ou-2.4", "ou-just-over", "rotating-just-over"],
+    )
+    def test_unstable_explicit_euler_grid_is_config_error(self, tmp_path, capsys, model, steps):
+        assert cli.run_config(self.stiff_config(model, steps), base_dir=tmp_path) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "explicit Euler is unstable" in err
+        assert not (tmp_path / "stiff").exists()
+
+    @pytest.mark.parametrize(
+        "model, steps",
+        [
+            ({"name": "ou", "dim": 1, "rate": 300.0}, 151),  # h * rate = 1.987
+            ({"name": "rotating", "dim": 2, "contraction": 1.0, "omega": 20.0}, 201),
+        ],
+        ids=["ou-just-under", "rotating-just-under"],
+    )
+    def test_stable_explicit_euler_grid_runs(self, tmp_path, capsys, model, steps):
+        status = cli.run_config(self.stiff_config(model, steps), base_dir=tmp_path)
+        assert status != 64, capsys.readouterr().err
+        assert (tmp_path / "stiff" / "report.json").exists()
+
     def test_stalled_sampler_exit_code(self, tmp_path, capsys, monkeypatch):
         # acceptance probability exp(-kappa^theta h) is 0 here, so the stall
         # is known before any proposal (the 10,000 rounds took 11 s on a
@@ -264,7 +309,7 @@ class TestRunExperiments:
     @pytest.mark.parametrize("theta, status, lines", [(0.4, 3, 0), (0.75, 3, 0)])
     def test_cli_prints_no_numpy_warnings(self, tmp_path, capsys, monkeypatch, workers, theta, status, lines):
         # the overflows above show in the verdict only; numpy's warnings
-        # stay off stderr, also those of worker threads
+        # stay off stderr, also those of worker processes
         monkeypatch.setenv("SUBHARNACK_WORKERS", str(workers))
         path = write_config(tmp_path, "heavy.json", self.heavy_gradient_config(theta, 3))
         assert cli.main(["run", str(path)]) == status
