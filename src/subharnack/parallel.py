@@ -21,7 +21,15 @@ reach the child as copied memory, so nothing is pickled on the way in.
 Processes rather than threads: the step loops make many numpy calls of a
 few microseconds each, and on a 2-core Xeon two threads took 1.1-1.45 of
 their serial time there because they mostly traded the GIL.  The package
-starts no threads, so it never forks a multi-threaded process.
+starts no Python threads.  numpy's BLAS library may run a thread pool of
+its own; a fork copies only the calling thread, as multiprocessing's fork
+start method does, and Python 3.12 and later warn of it with a
+DeprecationWarning.
+
+A child's exception reaches the parent with the child's formatted
+traceback as its ``__cause__``.  Chunk results cross the pipe by pickle,
+and older numpy releases pickle an array that is neither C- nor
+F-contiguous in C order, so ``map_path_chunks`` accepts no such layout.
 
 Modules never pick a worker count on their own; the experiment runner
 passes one down (``SUBHARNACK_WORKERS`` worker processes, default 1).
@@ -32,6 +40,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import traceback
 
 import numpy as np
 
@@ -66,11 +75,8 @@ def _run_child(fn, ranges, write_fd):
                 done.append((index, fn(index, start, stop)))
             payload = (None, done)
         except Exception as exc:
-            payload = (index, exc)
-        try:
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            data = pickle.dumps((index, RuntimeError(f"worker result cannot be pickled: {exc!r}")))
+            payload = (index, (exc, traceback.format_exc()))
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
         status = 0
@@ -124,7 +130,9 @@ def map_index_chunks(total, chunk_size, fn, workers=1):
                 for index, result in payload:
                     results[index] = result
             else:
-                failures.append((failed_index, payload))
+                exc, child_traceback = payload
+                exc.__cause__ = RuntimeError(f"in worker process {pid}:\n{child_traceback}")
+                failures.append((failed_index, exc))
     finally:
         for pid in pids:
             if pid in pipes:
@@ -146,12 +154,17 @@ def map_path_chunks(n_paths, stream, chunk_fn, workers=1):
     Philox generator of ``stream.child(replicate=i)``, and the rows of every
     chunk are joined in chunk-index order, so the result does not depend on
     the worker count.  ``chunk_fn`` returns an array, or a dict of arrays,
-    with ``count`` leading rows.
+    with ``count`` leading rows; each array must be C- or F-contiguous, so
+    that it keeps its memory order through a worker's pipe.
     """
 
     def run_chunk(chunk_index, start, stop):
         gen = stream.child(replicate=chunk_index).generator()
-        return chunk_fn(gen, stop - start)
+        part = chunk_fn(gen, stop - start)
+        for array in part.values() if isinstance(part, dict) else (part,):
+            if not (array.flags.c_contiguous or array.flags.f_contiguous):
+                raise ValueError("chunk results must be C- or F-contiguous arrays")
+        return part
 
     parts = map_index_chunks(n_paths, CHUNK_SIZE, run_chunk, workers)
     if isinstance(parts[0], dict):

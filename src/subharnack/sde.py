@@ -297,17 +297,20 @@ def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_
     def run_chunk(gen, count):
         clock = clock_law.sample_raw(grid, gen, count)
         dw = bm_increments(clock, model.dim, gen)
-        # stored (K, d, n) and viewed as (n, K, d), so every [:, k, :] block
-        # is column-major like a single-start result; np.concatenate keeps
-        # that layout across chunks
+        # stored (K, d, n) and returned as its column-major (n, K * d) view,
+        # which keeps its layout through a worker's pipe and np.concatenate
         finals = np.empty((len(starts), model.dim, count))
         for k, start in enumerate(starts):
             x0s = np.broadcast_to(start, (count, model.dim))
             finals[k] = euler_steps(model, x0s, grid, dw, method=method).T
-        finals = finals.transpose(2, 0, 1)
-        return finals[:, 0] if x0.ndim == 1 else finals
+        return finals.reshape(-1, count).T
 
-    return map_path_chunks(n_paths, stream, run_chunk, workers)
+    rows = map_path_chunks(n_paths, stream, run_chunk, workers)
+    if x0.ndim == 1:
+        return rows
+    # (n, K, d) view of the joined (K, d, n) storage: every [:, k, :] block
+    # is column-major like a single-start result
+    return rows.T.reshape(len(starts), model.dim, n_paths).transpose(2, 0, 1)
 
 
 def semigroup_estimate(f, x0, model: SdeModel, clock_law: ClockLaw, grid: TimeGrid, n_paths, stream: RngStream, workers=1, method="euler") -> MCEstimate:

@@ -7,10 +7,14 @@ pytest was started from; a relative ``PYTHONPATH=src`` would otherwise point
 nowhere in a child started with ``cwd=tmp_path``.
 
 Every test must also leave no child process behind: a forked worker that is
-still running or was never reaped fails the test that started it.
+still running or was never reaped fails the test that started it.  A test
+that compares worker counts uses ``two_cpus``, so that a call at two or more
+workers forks on any host, and ``c_order_pipe`` makes the workers' pipe
+lose the layout of arrays that are neither C- nor F-contiguous.
 """
 
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -23,6 +27,22 @@ if sys.path[:1] != [SRC]:
 
 _entries = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 os.environ["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in _entries if p != SRC])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Forks one worker at workers >= 2 whatever the host's CPU count."""
+    from subharnack import parallel
+
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def c_order_pipe(monkeypatch):
+    """Workers pickle at protocol 4, which sends an array that is neither C-
+    nor F-contiguous in C order, as older numpy releases do at every
+    protocol."""
+    monkeypatch.setattr(pickle, "HIGHEST_PROTOCOL", 4)
 
 
 @pytest.fixture(autouse=True)

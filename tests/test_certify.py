@@ -419,6 +419,7 @@ class TestGradientBound:
         assert any("raise n_paths or fd_step" in note for note in report.notes)
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestStencilReplay:
     """The multi-start draw equals replaying one stream per start."""
 

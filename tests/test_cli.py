@@ -307,7 +307,7 @@ class TestRunExperiments:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("theta, status, lines", [(0.4, 3, 0), (0.75, 3, 0)])
-    def test_cli_prints_no_numpy_warnings(self, tmp_path, capsys, monkeypatch, workers, theta, status, lines):
+    def test_cli_prints_no_numpy_warnings(self, tmp_path, capsys, monkeypatch, two_cpus, workers, theta, status, lines):
         # the overflows above show in the verdict only; numpy's warnings
         # stay off stderr, also those of worker processes
         monkeypatch.setenv("SUBHARNACK_WORKERS", str(workers))
@@ -317,7 +317,7 @@ class TestRunExperiments:
 
 
 class TestReproducibility:
-    def test_reports_identical_across_worker_counts(self, tmp_path):
+    def test_reports_identical_across_worker_counts(self, tmp_path, two_cpus):
         config = sharp_config(n_paths=10_000, out_dir="a")
         cli.run_config(config, workers=1, base_dir=tmp_path)
         first = json.loads((tmp_path / "a" / "report.json").read_text())

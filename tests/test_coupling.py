@@ -384,7 +384,7 @@ class TestBatchDiagnostics:
         assert np.all(np.isnan(tau[~mask]))
         assert np.all(tau[mask] <= 1.0 + 1e-12)
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, two_cpus):
         model = sde.make_model("ou", dim=1, rate=1.0)
         grid = pg.TimeGrid.uniform(1.0, 100)
         law = pg.ClockLaw(bn.StableBernstein(0.6), epsilon=0.05)
@@ -492,6 +492,7 @@ def _batch_outputs(batch):
             batch.eta_sq, batch.denominators)
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestWorkingSet:
     """Met pairs leave the coupled step; the outputs keep every bit."""
 
@@ -777,7 +778,7 @@ def _stable_rate(workers):
     "run", [_galerkin_terminals, _transfer_estimates, _rate_constant, _stable_rate],
     ids=["galerkin-terminals", "transfer", "rate-constant", "stable-rate"],
 )
-def test_chunked_paths_worker_invariance(run):
+def test_chunked_paths_worker_invariance(two_cpus, run):
     # more paths than one chunk, so two workers really split the work
     single, double = run(1), run(2)
     assert all(np.array_equal(a, b) for a, b in zip(single, double))

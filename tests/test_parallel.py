@@ -36,12 +36,6 @@ def package_exception_classes():
     return found
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Forks one worker at workers=2 whatever the host's CPU count."""
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-
-
 class TestExceptionsCrossProcesses:
     def test_every_package_exception_has_a_sample(self):
         assert package_exception_classes() == set(EXCEPTION_SAMPLES)
@@ -73,6 +67,10 @@ class TestExceptionsCrossProcesses:
         assert str(errors[0]) == str(errors[1])
         assert errors[0].n_failed == errors[1].n_failed == 100
         assert errors[0].step_index == errors[1].step_index
+
+
+def deep_failure(index):
+    raise ValueError(f"chunk {index}")
 
 
 def failing_at(bad):
@@ -115,6 +113,18 @@ class TestForkedMap:
         with pytest.raises(ValueError, match=f"^chunk {raised}$"):
             map_index_chunks(4, 1, failing_at(bad), workers=2)
 
+    def test_child_traceback_is_the_cause(self, two_cpus):
+        def fn(index, start, stop):
+            if index == 1:
+                deep_failure(index)
+            return index
+
+        with pytest.raises(ValueError, match="^chunk 1$") as err:
+            map_index_chunks(2, 1, fn, workers=2)
+        cause = str(err.value.__cause__)
+        assert cause.startswith("in worker process ")
+        assert "in deep_failure" in cause and "ValueError: chunk 1" in cause
+
     def test_width_capped_at_usable_cpus(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
@@ -131,6 +141,16 @@ class TestForkedMap:
         monkeypatch.delattr(os, "fork")
         out = map_index_chunks(3, 1, failing_at(()), workers=2)
         assert [pid for _, pid in out] == [os.getpid()] * 3
+
+
+class TestChunkLayout:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_contiguous_result_is_refused(self, two_cpus, workers):
+        def chunk_fn(gen, count):
+            return {"ok": np.zeros(count), "strided": np.zeros((2, count, 3)).transpose(1, 0, 2)}
+
+        with pytest.raises(ValueError, match="C- or F-contiguous"):
+            map_path_chunks(CHUNK_SIZE + 7, pg.RngStream(6), chunk_fn, workers)
 
 
 class TestReaping:
@@ -179,10 +199,3 @@ class TestReaping:
         with pytest.raises(KeyboardInterrupt):
             map_index_chunks(2, 1, fn, workers=2)
         assert time.perf_counter() - started < 30
-
-    def test_unpicklable_result_becomes_an_error(self, two_cpus):
-        def fn(index, start, stop):
-            return (lambda: index) if index == 1 else index
-
-        with pytest.raises(RuntimeError, match="cannot be pickled"):
-            map_index_chunks(2, 1, fn, workers=2)

@@ -10,6 +10,7 @@ from subharnack import bernstein as bn
 from subharnack import galerkin as gk
 from subharnack import pathgen as pg
 from subharnack import sde
+from subharnack.observables import get_observable
 from subharnack.parallel import CHUNK_SIZE
 
 
@@ -248,14 +249,17 @@ class TestBatchedStepping:
         assert peak <= 40 * 2**20
 
 
+@pytest.mark.usefixtures("two_cpus", "c_order_pipe")
 class TestMultiStart:
     @STEPPER_CASES
     def test_each_start_matches_its_single_start_call(self, case):
         # K starts share one clock and noise draw per path; start k must get
-        # the bits of a single-start call on the same stream, at 1 and 2
-        # workers over two chunks
+        # the bits and layout of a single-start call on the same stream, at
+        # 1 and 2 workers over two chunks, also where the workers' pipe
+        # C-orders a non-contiguous array
         build, method = case
         model = build()
+        capnorm = get_observable("capnorm", model.dim)
         grid = pg.TimeGrid.uniform(1.0, 10)
         law = pg.ClockLaw(bn.StableBernstein(0.75))
         n_paths = CHUNK_SIZE + 17
@@ -272,6 +276,8 @@ class TestMultiStart:
                 assert single.shape == (n_paths, model.dim)
                 assert np.array_equal(multi[:, k], single)
                 assert multi[:, k].flags.f_contiguous == single.flags.f_contiguous
+                # a norm over the state sums in an order set by the layout
+                assert np.array_equal(capnorm(multi[:, k]), capnorm(single))
 
 
 class TestRotatingLayout:
@@ -441,7 +447,7 @@ class TestSemigroupEstimate:
         )
         assert abs(est.mean) < 3.0 * est.stderr
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, two_cpus):
         model = sde.make_model("ou", dim=2, rate=1.0)
         law = pg.ClockLaw(bn.GammaBernstein(1.0, 1.0))
         grid = pg.TimeGrid.uniform(1.0, 20)
