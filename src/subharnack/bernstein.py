@@ -9,7 +9,13 @@ with an exactly samplable increment law:
 * ``GammaBernstein``          B(r) = a log(1 + r/b)
 * ``TemperedStableBernstein`` B(r) = (r + kappa)^theta - kappa^theta
 
-Negative moments E[1/S(t)^k] are evaluated from the identity
+Two rules decide from B alone, with no quadrature, which moments are finite:
+
+* ``negative_moment_finite``    E[1/S(t)^k], except for gamma at a*t <= k
+* ``exponential_moment_finite`` E exp(c / S(t)) for all c, t > 0, only for the
+  deterministic clock and (tempered) stable exponents above one half
+
+Finite negative moments are evaluated from the identity
 
     E[1/S(t)^k] = (1/Gamma(k)) * integral_0^inf r^(k-1) exp(-t B(r)) dr
 
@@ -34,6 +40,8 @@ __all__ = [
     "QuadratureError",
     "evaluate",
     "laplace_transform",
+    "negative_moment_finite",
+    "exponential_moment_finite",
     "inverse_moment",
     "bernstein_from_config",
 ]
@@ -157,6 +165,29 @@ def laplace_transform(bf: BernsteinFunction, r, t) -> float:
     return np.exp(-np.asarray(t, dtype=float) * bf(r))
 
 
+def negative_moment_finite(bf: BernsteinFunction, k, t):
+    """Whether E[1/S(t)^k] is finite, element-wise over t: False exactly for
+    the gamma variant at a*t <= k, whose B grows only logarithmically."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(bf, GammaBernstein):
+        return bf.a * t > k
+    return np.full(t.shape, True)
+
+
+def exponential_moment_finite(bf: BernsteinFunction):
+    """Whether E exp(c / S(t)) is finite for all c, t > 0.
+
+    Finite for the deterministic clock and for (tempered) stable exponents
+    above one half; the slow small-value tails of gamma subordinators and of
+    stable exponents at or below one half make the moment infinite.
+    """
+    if isinstance(bf, LinearBernstein):
+        return True
+    if isinstance(bf, (StableBernstein, TemperedStableBernstein)):
+        return bf.theta > 0.5
+    return False
+
+
 def _log_upper_gamma_bound(a, x):
     """log of an upper bound for the unnormalized incomplete Gamma(a, x).
 
@@ -189,10 +220,8 @@ def _log_tail_bound(bf, k, t, cutoff):
             - a * math.log(t)
         )
     if isinstance(bf, GammaBernstein):
+        # a*t > k here, as inverse_moment checks; (1 + r/b)^(-at) <= (r/b)^(-at)
         at = bf.a * t
-        if at <= k:
-            return math.inf
-        # (1 + r/b)^(-at) <= (r/b)^(-at)
         return at * math.log(bf.b) + (k - at) * math.log(cutoff) - math.log(at - k)
     raise ValueError(f"unsupported Bernstein variant {type(bf).__name__}")
 
@@ -225,7 +254,7 @@ def inverse_moment(bf: BernsteinFunction, k, t, abs_tol=1e-9) -> float:
         raise ValueError("inverse_moment needs k > 0 and t > 0")
     if k >= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order k must stay below {MAX_MOMENT_ORDER}")
-    if isinstance(bf, GammaBernstein) and bf.a * t <= k:
+    if not negative_moment_finite(bf, k, t):
         raise InfiniteMomentError(
             f"E[1/S(t)^k] is infinite for the gamma variant when a*t <= k "
             f"(a*t = {bf.a * t:g}, k = {k:g})"

@@ -16,6 +16,11 @@ or factor, an infinite clock moment, a finite difference lost in its noise)
 makes the verdict inconclusive.  So does a slack or slack stderr that is
 not finite: z is then NaN, and a report with no other note says why.
 
+Every certificate takes one time input, its ``TimeGrid``: the horizon is
+T = ``grid.horizon``, and the rate constant and the power factor take their
+infimum over ``default_t_grid(T)``.  Starting points must have ``model.dim``
+coordinates.  Which clock moments are finite is decided in ``bernstein``.
+
 Every certificate draws its paths through ``_f_terminals`` (f at each
 start's terminals from one multi-start ``terminal_states`` call per
 stream), takes the per-path clock sums behind the rate constant and the
@@ -171,10 +176,10 @@ class RateConstantResult:
     excluded from the infimum (heavy clocks really do have infinite moments
     at small times); the result as a whole is divergent only when no
     admissible time remains.  A time whose estimate has infinite variance
-    (gamma clocks with a*t <= 2) keeps its sample mean, gets stderr inf and
-    is excluded from the infimum too.  ``per_t_infinite`` is the share of
-    infinite paths per time, set to 1 where a gamma clock's mean diverges
-    (a*t <= 1).
+    (``bernstein.negative_moment_finite`` with k = 2 is False: gamma clocks
+    with a*t <= 2) keeps its sample mean, gets stderr inf and is excluded
+    from the infimum too.  ``per_t_infinite`` is the share of infinite paths
+    per time, set to 1 where the mean diverges (the same rule with k = 1).
     """
 
     t_grid: np.ndarray
@@ -241,23 +246,15 @@ def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=
     t_grid, partials, lam_sq = _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, resolution)
     with np.errstate(divide="ignore"):
         values = np.where(partials > 0.0, lam_sq / np.maximum(partials, 1e-300), np.inf)
-    per_t_infinite = np.isinf(values).mean(axis=0)
-    heavy = np.zeros(t_grid.size, dtype=bool)
-    if isinstance(clock_law.bernstein, bn.GammaBernstein):
-        # E[1/S(t)^k] of a gamma subordinator is infinite at a*t <= k: the
-        # mean diverges at a*t <= 1, the variance at a*t <= 2
-        at = clock_law.bernstein.a * t_grid
-        per_t_infinite = np.maximum(per_t_infinite, (at <= 1.0).astype(float))
-        heavy = at <= 2.0
-    per_t = []
-    for j in range(t_grid.size):
-        col = values[:, j]
-        if np.isinf(col).any():
-            per_t.append(MCEstimate(mean=math.inf, stderr=math.inf, n=col.size))
-        elif heavy[j]:
-            per_t.append(MCEstimate(mean=float(col.mean()), stderr=math.inf, n=col.size))
-        else:
-            per_t.append(MCEstimate.from_samples(col))
+    # K and lambda are bounded: the rate's k-th moment is finite where E[1/S(t)^k] is
+    bf = clock_law.bernstein
+    per_t_infinite = np.where(bn.negative_moment_finite(bf, 1.0, t_grid), np.isinf(values).mean(axis=0), 1.0)
+    # an infinite-variance sample's std may overflow, so it keeps only its mean
+    per_t = [
+        MCEstimate.from_samples(col) if finite_variance
+        else MCEstimate(mean=float(col.mean()), stderr=math.inf, n=col.size)
+        for col, finite_variance in zip(values.T, bn.negative_moment_finite(bf, 2.0, t_grid))
+    ]
     admissible = [j for j, est in enumerate(per_t) if math.isfinite(est.mean) and math.isfinite(est.stderr)]
     if admissible:
         j_min = min(admissible, key=lambda j: per_t[j].mean)
@@ -275,20 +272,6 @@ def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=
     )
 
 
-def exponential_moment_finite(bernstein):
-    """Whether E exp(c / S(t)) is finite for all c, t > 0.
-
-    Finite for the deterministic clock and for (tempered) stable exponents
-    above one half; the slow small-value tails of gamma subordinators and of
-    stable exponents at or below one half make the moment infinite.
-    """
-    if isinstance(bernstein, bn.LinearBernstein):
-        return True
-    if isinstance(bernstein, (bn.StableBernstein, bn.TemperedStableBernstein)):
-        return bernstein.theta > 0.5
-    return False
-
-
 def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_sq, t_grid=None, n_paths=10_000, stream: RngStream = None, workers=1, resolution=256):
     """E[ inf_t exp( p lambda_t^2 |x-y|^2 / (2 (p-1)^2 int_0^t e^{-2K} dS) ) ].
 
@@ -304,12 +287,7 @@ def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_
     with np.errstate(divide="ignore", over="ignore"):
         exponents = np.where(partials > 0.0, coeff / np.maximum(partials, 1e-300), np.inf)
         per_path = np.exp(exponents.min(axis=1))
-    infinite_fraction = float(np.isinf(per_path).mean())
-    if np.isinf(per_path).any():
-        estimate = MCEstimate(mean=math.inf, stderr=math.inf, n=n_paths)
-    else:
-        estimate = MCEstimate.from_samples(per_path)
-    return estimate, infinite_fraction
+    return MCEstimate.from_samples(per_path), float(np.isinf(per_path).mean())
 
 
 def _f_terminals(f, model, starts, grid, clock_law, n_paths, stream, workers, method):
@@ -318,10 +296,18 @@ def _f_terminals(f, model, starts, grid, clock_law, n_paths, stream, workers, me
     return [np.asarray(f(finals[:, k]), dtype=float) for k in range(len(starts))]
 
 
-def _rate_term(model, clock_law, horizon, t_grid, n_paths, stream, workers, rate=None):
+def _points(model, *points):
+    """The starting points as float vectors, each with ``model.dim`` coordinates."""
+    points = [np.atleast_1d(np.asarray(v, dtype=float)) for v in points]
+    if any(v.shape != (model.dim,) for v in points):
+        raise ValueError(f"starting points {[v.tolist() for v in points]} must have model.dim = {model.dim} coordinates")
+    return points
+
+
+def _rate_term(model, clock_law, horizon, n_paths, stream, workers, rate=None):
     """The rate constant on max(1000, n/10) paths, unless given, with its notes."""
     rate = rate or harnack_rate_constant(
-        model, clock_law, horizon, t_grid=t_grid, n_paths=max(1000, n_paths // 10),
+        model, clock_law, horizon, n_paths=max(1000, n_paths // 10),
         stream=stream, workers=workers,
     )
     notes = [f"rate constant divergent: {rate.infinite_fraction:.2%} of paths infinite"] if rate.divergent else []
@@ -340,9 +326,10 @@ def _report(inequality, f, model, clock_law, params, lhs, rhs, notes, started, s
     )
 
 
-def log_harnack_certificate(f, x, y, horizon, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, grid: TimeGrid = None, t_grid=None, workers=1, rate_result: RateConstantResult | None = None, method="euler") -> HarnackReport:
+def log_harnack_certificate(f, x, y, grid: TimeGrid, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, rate_result: RateConstantResult | None = None, method="euler") -> HarnackReport:
     """Check P_T log f(y) <= log P_T f(x) + (|x-y|^2 / 2) * rate constant.
 
+    ``grid`` is the one time input: the paths step on it and T = grid.horizon.
     Requires strictly positive bounded f; any nonpositive sample raises.
     The log of the x-side estimate carries a delta-method stderr with its
     first-order bias folded in.  Both sides come from one draw per path;
@@ -351,8 +338,7 @@ def log_harnack_certificate(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     quadrature with the independent rate-constant term.
     """
     started = time.perf_counter()
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    grid = grid or TimeGrid.uniform(horizon, 500)
+    x, y = _points(model, x, y)
     dist_sq = float(np.sum((x - y) ** 2))
 
     f_x, f_y = _f_terminals(f, model, [x, y], grid, clock_law, n_paths, stream.child(purpose="log-pair"), workers, method)
@@ -361,12 +347,12 @@ def log_harnack_certificate(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     lhs = MCEstimate.from_samples(np.log(f_y))
     base = MCEstimate.from_samples(f_x)
 
-    rate, notes = _rate_term(model, clock_law, horizon, t_grid, n_paths, stream.child(purpose="log-rate"), workers, rate_result)
+    rate, notes = _rate_term(model, clock_law, grid.horizon, n_paths, stream.child(purpose="log-rate"), workers, rate_result)
     cost = rate.infimum.scaled(dist_sq / 2.0)
     rhs = base.log().plus(cost)
     paired = MCEstimate.from_samples(f_x / base.mean - np.log(f_y))
     log_bias = base.stderr**2 / (2.0 * base.mean**2)  # as in MCEstimate.log
-    params = {"x": x.tolist(), "y": y.tolist(), "T": horizon, "n_paths": n_paths,
+    params = {"x": x.tolist(), "y": y.tolist(), "T": grid.horizon, "n_paths": n_paths,
               "argmin_t": rate.argmin_t, "cost_constant": rate.infimum.mean}
     return _report(
         "log-harnack", f, model, clock_law, params, lhs, rhs, notes, started, stream,
@@ -375,13 +361,15 @@ def log_harnack_certificate(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     )
 
 
-def power_harnack_certificate(f, p, x, y, horizon, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, grid: TimeGrid = None, t_grid=None, workers=1, method="euler") -> HarnackReport:
-    """Check (P_T f(y))^p <= P_T f^p(x) * (E inf_t exp[...])^(p-1)."""
+def power_harnack_certificate(f, p, x, y, grid: TimeGrid, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler") -> HarnackReport:
+    """Check (P_T f(y))^p <= P_T f^p(x) * (E inf_t exp[...])^(p-1).
+
+    ``grid`` is the one time input: the paths step on it and T = grid.horizon.
+    """
     started = time.perf_counter()
     if p <= 1:
         raise ValueError("power-Harnack needs p > 1")
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    grid = grid or TimeGrid.uniform(horizon, 500)
+    x, y = _points(model, x, y)
     dist_sq = float(np.sum((x - y) ** 2))
 
     (f_y,) = _f_terminals(f, model, [y], grid, clock_law, n_paths, stream.child(purpose="pow-lhs"), workers, method)
@@ -390,7 +378,7 @@ def power_harnack_certificate(f, p, x, y, horizon, model: SdeModel, clock_law: C
     moment = MCEstimate.from_samples(f_x**p)
 
     factor, infinite_fraction = power_infimum_factor(
-        model, clock_law, horizon, p, dist_sq, t_grid=t_grid,
+        model, clock_law, grid.horizon, p, dist_sq,
         n_paths=max(1000, n_paths // 10), stream=stream.child(purpose="pow-factor"),
         workers=workers,
     )
@@ -399,7 +387,7 @@ def power_harnack_certificate(f, p, x, y, horizon, model: SdeModel, clock_law: C
     else:
         rhs = MCEstimate(mean=math.inf, stderr=math.inf, n=factor.n)
     notes = []
-    if dist_sq > 0 and not exponential_moment_finite(clock_law.bernstein):
+    if dist_sq > 0 and not bn.exponential_moment_finite(clock_law.bernstein):
         notes.append(
             "multiplicative factor divergent: E exp(c/S(t)) is infinite for "
             "this clock (needs a stable-type exponent above one half); the "
@@ -410,15 +398,17 @@ def power_harnack_certificate(f, p, x, y, horizon, model: SdeModel, clock_law: C
             f"multiplicative factor divergent: {infinite_fraction:.2%} of paths "
             "overflowed (heavy small-time tail of the clock)"
         )
-    params = {"x": x.tolist(), "y": y.tolist(), "T": horizon, "p": p, "n_paths": n_paths}
+    params = {"x": x.tolist(), "y": y.tolist(), "T": grid.horizon, "p": p, "n_paths": n_paths}
     return _report(
         "power-harnack", f, model, clock_law, params, lhs, rhs, notes, started, stream,
         form="expectation outside the infimum",
     )
 
 
-def gradient_certificate(f, x, horizon, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, fd_step=0.05, grid: TimeGrid = None, t_grid=None, workers=1, method="euler") -> HarnackReport:
+def gradient_certificate(f, x, grid: TimeGrid, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, fd_step=0.05, workers=1, method="euler") -> HarnackReport:
     """Check |grad P_T f|(x)^2 <= Var of f(X_T(x)) times the rate constant.
+
+    ``grid`` is the one time input: the paths step on it and T = grid.horizon.
 
     The gradient is probed by central finite differences along every axis
     with common random numbers across the stencil (all 2d stencil points
@@ -428,8 +418,7 @@ def gradient_certificate(f, x, horizon, model: SdeModel, clock_law: ClockLaw, n_
     started = time.perf_counter()
     if fd_step <= 0:
         raise ValueError("finite-difference step must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    grid = grid or TimeGrid.uniform(horizon, 500)
+    (x,) = _points(model, x)
 
     offsets = fd_step * np.eye(model.dim)
     stencil = _f_terminals(f, model, list(x + offsets) + list(x - offsets), grid, clock_law, n_paths, stream.child(purpose="grad-stencil"), workers, method)
@@ -443,29 +432,29 @@ def gradient_certificate(f, x, horizon, model: SdeModel, clock_law: ClockLaw, n_
 
     (center,) = _f_terminals(f, model, [x], grid, clock_law, n_paths, stream.child(purpose="grad-var"), workers, method)
     var = variance_estimate(center)
-    rate, notes = _rate_term(model, clock_law, horizon, t_grid, n_paths, stream.child(purpose="grad-rate"), workers)
+    rate, notes = _rate_term(model, clock_law, grid.horizon, n_paths, stream.child(purpose="grad-rate"), workers)
     if best.stderr > abs(best.mean):
         notes.append(
             "finite-difference stderr exceeds the difference; raise n_paths or fd_step"
         )
     rhs = var.times(rate.infimum)
-    params = {"x": x.tolist(), "T": horizon, "fd_step": fd_step, "n_paths": n_paths, "direction": j_max}
+    params = {"x": x.tolist(), "T": grid.horizon, "fd_step": fd_step, "n_paths": n_paths, "direction": j_max}
     return _report(
         "gradient-bound", f, model, clock_law, params, lhs, rhs, notes, started, stream,
         form="infimum outside the expectation",
     )
 
 
-def coupling_property_bound(f, x, y, horizon, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, grid: TimeGrid = None, workers=1, method="euler") -> HarnackReport:
+def coupling_property_bound(f, x, y, grid: TimeGrid, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler") -> HarnackReport:
     """Check |P_T f(x) - P_T f(y)| <= sup lambda * sup f * |x-y| * sqrt(E[1/S(T)]).
 
+    ``grid`` is the one time input: the paths step on it and T = grid.horizon.
     Needs K <= 0 throughout, bounded lambda, and nonnegative bounded f.  The
     left side uses common noise across the two starting points, so its
     stderr reflects the difference, not the individual estimates.
     """
     started = time.perf_counter()
-    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
-    grid = grid or TimeGrid.uniform(horizon, 500)
+    x, y = _points(model, x, y)
     k_max = max(model.k_bound(t) for t in grid.times)
     if k_max > 0:
         raise ValueError(f"coupling property bound needs K <= 0; found K = {k_max:g}")
@@ -482,7 +471,7 @@ def coupling_property_bound(f, x, y, horizon, model: SdeModel, clock_law: ClockL
 
     notes = []
     try:
-        inverse_first_moment = bn.inverse_moment(clock_law.bernstein, 1.0, horizon)
+        inverse_first_moment = bn.inverse_moment(clock_law.bernstein, 1.0, grid.horizon)
         rhs = MCEstimate.exact(
             lam_max * sup_norm * float(np.linalg.norm(x - y)) * math.sqrt(inverse_first_moment),
             n=n_paths,
@@ -490,7 +479,7 @@ def coupling_property_bound(f, x, y, horizon, model: SdeModel, clock_law: ClockL
     except bn.InfiniteMomentError:
         rhs = MCEstimate(mean=math.inf, stderr=math.inf, n=n_paths)
         notes.append("E[1/S(T)] is infinite for this clock; the bound is vacuous")
-    params = {"x": x.tolist(), "y": y.tolist(), "T": horizon, "n_paths": n_paths}
+    params = {"x": x.tolist(), "y": y.tolist(), "T": grid.horizon, "n_paths": n_paths}
     return _report("coupling-property-bound", f, model, clock_law, params, lhs, rhs, notes, started, stream)
 
 

@@ -392,25 +392,23 @@ def _run_certificate(config, workers):
     x, y = _points(config, model.dim)
     n = config["mc"]["n_paths"]
     stream = RngStream(config["mc"]["seed"], purpose=experiment)
-    horizon = grid.horizon
     options = config.get("certify", {})
     if experiment == "certify-log":
         report = certify.log_harnack_certificate(
-            f, x, y, horizon, model, law, n, stream, grid=grid, workers=workers
+            f, x, y, grid, model, law, n, stream, workers=workers
         )
     elif experiment == "certify-power":
         report = certify.power_harnack_certificate(
-            f, options.get("p", 2.0), x, y, horizon, model, law, n, stream,
-            grid=grid, workers=workers,
+            f, options.get("p", 2.0), x, y, grid, model, law, n, stream, workers=workers,
         )
     elif experiment == "certify-gradient":
         report = certify.gradient_certificate(
-            f, x, horizon, model, law, n, stream,
-            fd_step=options.get("fd_step", 0.05), grid=grid, workers=workers,
+            f, x, grid, model, law, n, stream,
+            fd_step=options.get("fd_step", 0.05), workers=workers,
         )
     else:
         report = certify.coupling_property_bound(
-            f, x, y, horizon, model, law, n, stream, grid=grid, workers=workers
+            f, x, y, grid, model, law, n, stream, workers=workers
         )
     doc = report.to_dict()
     doc["experiment"] = experiment
@@ -460,8 +458,8 @@ def _run_galerkin(config, workers):
     f = _observable(config.get("observable", {"name": "sin1"}), min(gcfg["dims"]))
     stream = RngStream(config["mc"]["seed"], purpose="galerkin-check")
     result = galerkin.dimension_free_check(
-        family, f, pts.get("x", [0.0]), pts.get("y", [1.0]), grid.horizon,
-        gcfg["dims"], law, config["mc"]["n_paths"], stream, grid=grid, workers=workers,
+        family, f, pts.get("x", [0.0]), pts.get("y", [1.0]), grid,
+        gcfg["dims"], law, config["mc"]["n_paths"], stream, workers=workers,
     )
     doc = result.to_dict()
     doc["experiment"] = "galerkin-check"

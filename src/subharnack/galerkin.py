@@ -169,10 +169,11 @@ class DimensionFreeResult:
         }
 
 
-def dimension_free_check(model_family, f, x, y, horizon, dims, clock_law: ClockLaw, n_paths, stream: RngStream, grid: TimeGrid = None, workers=1) -> DimensionFreeResult:
+def dimension_free_check(model_family, f, x, y, grid: TimeGrid, dims, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1) -> DimensionFreeResult:
     """Log-Harnack certificates across truncation levels with one shared cost.
 
-    ``model_family(n)`` builds the n-mode model; ``f`` must be a cylinder
+    ``grid`` is the one time input: every truncation steps on it and
+    T = grid.horizon.  ``model_family(n)`` builds the n-mode model; ``f`` must be a cylinder
     observable reading at most min(dims) coordinates, and the initial points
     are given in those cylinder coordinates (zero elsewhere).  The certified
     cost constant depends only on (lambda, K, clock), so it is computed once
@@ -192,11 +193,10 @@ def dimension_free_check(model_family, f, x, y, horizon, dims, clock_law: ClockL
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.size > min(dims) or y.size > min(dims):
         raise ValueError("initial points must live in the cylinder coordinates")
-    grid = grid or TimeGrid.uniform(horizon, 250)
 
     reference = model_family(dims[0])
     rate = harnack_rate_constant(
-        reference, clock_law, horizon, n_paths=max(1000, n_paths // 5),
+        reference, clock_law, grid.horizon, n_paths=max(1000, n_paths // 5),
         stream=stream.child(purpose="dimfree-rate"), workers=workers,
     )
     label = True
@@ -220,8 +220,8 @@ def dimension_free_check(model_family, f, x, y, horizon, dims, clock_law: ClockL
         y_n[: y.size] = y
         reports.append(
             log_harnack_certificate(
-                f, x_n, y_n, horizon, model, clock_law, n_paths,
-                stream.child(purpose=f"dimfree-n{n}"), grid=grid, workers=workers,
+                f, x_n, y_n, grid, model, clock_law, n_paths,
+                stream.child(purpose=f"dimfree-n{n}"), workers=workers,
                 rate_result=rate,
             )
         )

@@ -360,6 +360,7 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
     """
     diffusion = DiffusionModel.isotropic(sigma_scale)
     perturbation = perturbation or PerturbationModel.zero(dim)
+    own = {}
     if name == "zero":
         drift = DriftModel(
             func=lambda t, x: np.zeros_like(x),
@@ -375,7 +376,7 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
             one_sided_bound=lambda t, _a=rate: -_a,
             implicit_solve=lambda t, h, rhs, _a=rate: rhs / (1.0 + _a * h),
         )
-        params = {"rate": rate, **params}
+        own = {"rate": rate}
     elif name == "double_well":
         drift = DriftModel(
             func=lambda t, x: x - x * x * x,
@@ -397,16 +398,16 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
             one_sided_bound=lambda t, _c=contraction: -_c,
             implicit_solve=lambda t, h, rhs, _m=mat: (np.linalg.inv(np.eye(2) - h * _m) @ rhs.T).T,
         )
-        params = {"omega": omega, "contraction": contraction, **params}
+        own = {"omega": omega, "contraction": contraction}
     else:
         raise ValueError(f"unknown model {name!r}")
-    if params and name in ("zero", "double_well"):
-        raise ValueError(f"model {name!r} takes no extra parameters: {sorted(params)}")
+    if params:
+        raise ValueError(f"model {name!r} does not take the parameters {sorted(params)}")
     return SdeModel(
         dim=dim,
         drift=drift,
         diffusion=diffusion,
         perturbation=perturbation,
         label=name,
-        params={"sigma_scale": sigma_scale, **params},
+        params={"sigma_scale": sigma_scale, **own},
     )

@@ -88,8 +88,8 @@ def _check_sharp_log_harnack():
     law = ClockLaw(bn.LinearBernstein())
     f = get_observable("exp_a", 2, direction=[1.0, 0.0])
     report = certify.log_harnack_certificate(
-        f, [0.0, 0.0], [1.0, 0.0], 1.0, model, law, 20_000,
-        RngStream(2024, purpose="selftest-sharp"), grid=TimeGrid.uniform(1.0, 50),
+        f, [0.0, 0.0], [1.0, 0.0], TimeGrid.uniform(1.0, 50), model, law, 20_000,
+        RngStream(2024, purpose="selftest-sharp"),
     )
     if report.verdict != "certified" or abs(report.z_score) > 3.0:
         return False, f"verdict {report.verdict}, z {report.z_score:+.2f}"

@@ -193,8 +193,8 @@ def test_criterion_06_sharp_log_harnack():
     model = sde.make_model("zero", dim=2)
     f = get_observable("exp_a", 2, direction=[1.0, 0.0])
     report = ct.log_harnack_certificate(
-        f, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), 100_000,
-        pg.RngStream(SEED, purpose="sharp"), grid=pg.TimeGrid.uniform(1.0, 100),
+        f, [0.0, 0.0], [1.0, 0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(), 100_000,
+        pg.RngStream(SEED, purpose="sharp"),
     )
     claims.append((f"verdict {report.verdict}", report.verdict == "certified"))
     claims.append((f"z-score {report.z_score:+.2f} outside [-3, 3]", -3.0 <= report.z_score <= 3.0))
@@ -217,8 +217,8 @@ def test_criterion_07_power_harnack():
     model = sde.make_model("zero", dim=2)
     f = get_observable("exp_a", 2, direction=[1.0, 0.0])
     equality = ct.power_harnack_certificate(
-        f, 2.0, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), 100_000,
-        pg.RngStream(SEED, purpose="power-eq"), grid=pg.TimeGrid.uniform(1.0, 100),
+        f, 2.0, [0.0, 0.0], [1.0, 0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(), 100_000,
+        pg.RngStream(SEED, purpose="power-eq"),
     )
     claims.append(
         (f"lhs {equality.lhs.mean:.3f} vs e^3 {target:.3f}",
@@ -232,9 +232,9 @@ def test_criterion_07_power_harnack():
 
     ou = sde.make_model("ou", dim=1, rate=1.0)
     stable_case = ct.power_harnack_certificate(
-        get_observable("sin1", 1), 2.0, [0.0], [1.0], 1.0, ou,
+        get_observable("sin1", 1), 2.0, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 400), ou,
         pg.ClockLaw(bn.StableBernstein(0.6)), 100_000,
-        pg.RngStream(SEED, purpose="power-stable"), grid=pg.TimeGrid.uniform(1.0, 400),
+        pg.RngStream(SEED, purpose="power-stable"),
     )
     claims.append((f"stable(0.6) verdict {stable_case.verdict}", stable_case.verdict == "certified"))
     claims.append(
@@ -267,9 +267,8 @@ def test_criterion_08_gradient_bound():
             return {"name": "sin"}
 
     report = ct.gradient_certificate(
-        Sin(), [0.0], 1.0, model, linear_law(), 100_000,
+        Sin(), [0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(), 100_000,
         pg.RngStream(SEED, purpose="gradient"), fd_step=0.05,
-        grid=pg.TimeGrid.uniform(1.0, 100),
     )
     claims.append((f"verdict {report.verdict}", report.verdict == "certified"))
     claims.append(
@@ -326,9 +325,9 @@ def test_criterion_10_dimension_freeness():
         )
 
     result = gk.dimension_free_check(
-        family, get_observable("sin1", 4), [0.0], [1.0], 1.0, (4, 16, 64),
+        family, get_observable("sin1", 4), [0.0], [1.0], pg.TimeGrid.uniform(1.0, 120), (4, 16, 64),
         pg.ClockLaw(bn.StableBernstein(0.75)), 6000,
-        pg.RngStream(SEED, purpose="dimfree"), grid=pg.TimeGrid.uniform(1.0, 120),
+        pg.RngStream(SEED, purpose="dimfree"),
     )
     for n, report in zip(result.dims, result.reports):
         claims.append((f"n={n} verdict {report.verdict}", report.verdict == "certified"))

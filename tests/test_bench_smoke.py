@@ -1,0 +1,43 @@
+"""The benchmark's call path, at warm-up size, under tier-1.
+
+``perfbench.workloads`` calls the public API the way the benchmark does, so
+a signature change that breaks a workload fails here instead of in a bench
+run.  Each workload runs just over one chunk of paths, so that its 2-worker
+call forks, and must pass every gate of ``perfbench.workloads.check`` with
+the same digest at 1 and 2 workers.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.append(ROOT)
+
+from perfbench import specs, workloads  # noqa: E402
+from subharnack.parallel import CHUNK_SIZE  # noqa: E402
+
+
+def _smoke_inputs(name):
+    inputs = specs.workload_inputs(name, "warmup")
+    sized = inputs["mc"] if specs.WORKLOADS[name]["kind"] == "cli" else inputs
+    sized["n_paths"] = CHUNK_SIZE + 100
+    return inputs
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("name", list(specs.WORKLOADS))
+def test_workload_gates_pass_and_digests_match_across_workers(name, tmp_path):
+    prepared = workloads.prepare(name, _smoke_inputs(name))
+    for seed in range(3):
+        digests = []
+        for workers in (1, 2):
+            out_dir = tmp_path / f"s{seed}-w{workers}"
+            out_dir.mkdir()
+            checked = workloads.check(prepared, workloads.call(prepared, seed, workers, out_dir), out_dir)
+            failed = [gate for gate in checked["gates"] if not gate[1]]
+            assert failed == [], (seed, workers, failed)
+            digests.append(checked["digest"])
+        assert digests[0] == digests[1], seed

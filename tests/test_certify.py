@@ -195,15 +195,64 @@ class TestRateConstant:
         assert np.array_equal(partials, np.concatenate(ref))
 
 
+# gamma(4, 1) crosses a*t = k at t = 0.25 (k = 1) and t = 0.5 (k = 2)
+MOMENT_TIMES = np.array([0.125, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize(
+    "clock",
+    [bn.LinearBernstein(), bn.StableBernstein(0.75), bn.GammaBernstein(4.0, 1.0),
+     bn.TemperedStableBernstein(0.6, 0.5)],
+    ids=lambda clock: type(clock).__name__,
+)
+def test_moment_rule_marks_inverse_moments_and_rate_times(clock):
+    # K = 0 and lambda = 1, so the rate's k-th moment is E[1/S(t)^k]
+    finite = {k: bn.negative_moment_finite(clock, k, MOMENT_TIMES) for k in (1.0, 2.0)}
+    if isinstance(clock, bn.GammaBernstein):
+        assert finite[1.0].tolist() == [False, False, True, True, True]
+        assert finite[2.0].tolist() == [False, False, False, True, True]
+    else:
+        assert finite[1.0].all() and finite[2.0].all()
+    for k, marks in finite.items():
+        for t, moment_finite in zip(MOMENT_TIMES, marks):
+            if moment_finite:
+                assert math.isfinite(bn.inverse_moment(clock, k, t))
+            else:
+                with pytest.raises(bn.InfiniteMomentError):
+                    bn.inverse_moment(clock, k, t)
+    result = ct.harnack_rate_constant(
+        sde.make_model("zero", dim=1), pg.ClockLaw(clock), 1.0, t_grid=MOMENT_TIMES,
+        n_paths=1000, stream=pg.RngStream(48, purpose="moment-rule"), resolution=16,
+    )
+    assert ((result.per_t_infinite == 1.0) == ~finite[1.0]).all()
+    assert [math.isinf(est.stderr) for est in result.per_t] == (~finite[2.0]).tolist()
+
+
+@pytest.mark.parametrize("certificate", ["log", "power", "gradient", "coupling"])
+def test_starting_points_must_match_the_model_dimension(certificate):
+    # unchecked, a 1-D start on a 2-D model broadcasts to (1, 1) for the
+    # paths while |x - y|^2 is taken in one coordinate
+    model = sde.make_model("ou", dim=2)
+    f = get_observable("sin1", 2)
+    grid, law, stream = pg.TimeGrid.uniform(1.0, 10), linear_law(), pg.RngStream(49)
+    calls = {
+        "log": lambda: ct.log_harnack_certificate(f, [1.0], [0.0], grid, model, law, 1000, stream),
+        "power": lambda: ct.power_harnack_certificate(f, 2.0, [1.0], [0.0], grid, model, law, 1000, stream),
+        "gradient": lambda: ct.gradient_certificate(f, [1.0], grid, model, law, 1000, stream),
+        "coupling": lambda: ct.coupling_property_bound(f, [1.0], [0.0], grid, model, law, 1000, stream),
+    }
+    with pytest.raises(ValueError, match="model.dim = 2"):
+        calls[certificate]()
+
+
 class TestLogHarnack:
     def test_jensen_consistency_equal_points(self):
         for name in ("zero", "ou", "double_well", "rotating"):
             model = sde.make_model(name, dim=2)
             f = get_observable("sin1", 2)
             report = ct.log_harnack_certificate(
-                f, [0.4, -0.2], [0.4, -0.2], 1.0, model, linear_law(), 20_000,
-                pg.RngStream(5, purpose=f"jensen-{name}"),
-                grid=pg.TimeGrid.uniform(1.0, 200),
+                f, [0.4, -0.2], [0.4, -0.2], pg.TimeGrid.uniform(1.0, 200), model, linear_law(),
+                20_000, pg.RngStream(5, purpose=f"jensen-{name}"),
             )
             assert report.verdict == "certified", name
 
@@ -212,8 +261,8 @@ class TestLogHarnack:
         model = sde.make_model("zero", dim=2)
         f = get_observable("exp_a", 2, direction=[1.0, 0.0])
         report = ct.log_harnack_certificate(
-            f, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), 100_000,
-            pg.RngStream(6, purpose="sharp"), grid=pg.TimeGrid.uniform(1.0, 100),
+            f, [0.0, 0.0], [1.0, 0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(), 100_000,
+            pg.RngStream(6, purpose="sharp"),
         )
         assert report.verdict == "certified"
         assert -3.0 <= report.z_score <= 3.0
@@ -227,8 +276,8 @@ class TestLogHarnack:
         f = get_observable("sin1", 1)
         law = pg.ClockLaw(bn.StableBernstein(0.75))
         report = ct.log_harnack_certificate(
-            f, [0.0], [1.0], 1.0, model, law, 50_000,
-            pg.RngStream(7, purpose="dw"), grid=pg.TimeGrid.uniform(1.0, 400),
+            f, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 400), model, law, 50_000,
+            pg.RngStream(7, purpose="dw"),
             method="semi_implicit",
         )
         assert report.verdict == "certified"
@@ -237,8 +286,8 @@ class TestLogHarnack:
         model = sde.make_model("zero", dim=1)
         with pytest.raises(ValueError, match="strictly positive"):
             ct.log_harnack_certificate(
-                lambda z: np.sin(z[:, 0]), [0.0], [1.0], 1.0, model, linear_law(),
-                2000, pg.RngStream(8, purpose="neg"), grid=pg.TimeGrid.uniform(1.0, 20),
+                lambda z: np.sin(z[:, 0]), [0.0], [1.0], pg.TimeGrid.uniform(1.0, 20), model,
+                linear_law(), 2000, pg.RngStream(8, purpose="neg"),
             )
 
 
@@ -272,8 +321,8 @@ class TestCalibration:
         model, f, grid = self._setup()
         self._assert_standard([
             ct.log_harnack_certificate(
-                f, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), self.N_PATHS,
-                pg.RngStream(seed, purpose="calibration-log"), grid=grid,
+                f, [0.0, 0.0], [1.0, 0.0], grid, model, linear_law(), self.N_PATHS,
+                pg.RngStream(seed, purpose="calibration-log"),
             ).z_score
             for seed in self.SEEDS
         ])
@@ -282,8 +331,8 @@ class TestCalibration:
         model, f, grid = self._setup()
         self._assert_standard([
             ct.power_harnack_certificate(
-                f, 2.0, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), self.N_PATHS,
-                pg.RngStream(seed, purpose="calibration-power"), grid=grid,
+                f, 2.0, [0.0, 0.0], [1.0, 0.0], grid, model, linear_law(), self.N_PATHS,
+                pg.RngStream(seed, purpose="calibration-power"),
             ).z_score
             for seed in self.SEEDS
         ])
@@ -294,8 +343,8 @@ class TestPowerHarnack:
         model = sde.make_model("ou", dim=1, rate=1.0)
         f = get_observable("sin1", 1)
         report = ct.power_harnack_certificate(
-            f, 2.0, [0.3], [0.3], 1.0, model, linear_law(), 20_000,
-            pg.RngStream(9, purpose="cs"), grid=pg.TimeGrid.uniform(1.0, 200),
+            f, 2.0, [0.3], [0.3], pg.TimeGrid.uniform(1.0, 200), model, linear_law(), 20_000,
+            pg.RngStream(9, purpose="cs"),
         )
         assert report.verdict == "certified"
 
@@ -304,8 +353,8 @@ class TestPowerHarnack:
         model = sde.make_model("zero", dim=2)
         f = get_observable("exp_a", 2, direction=[1.0, 0.0])
         report = ct.power_harnack_certificate(
-            f, 2.0, [0.0, 0.0], [1.0, 0.0], 1.0, model, linear_law(), 100_000,
-            pg.RngStream(10, purpose="gauss"), grid=pg.TimeGrid.uniform(1.0, 100),
+            f, 2.0, [0.0, 0.0], [1.0, 0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(),
+            100_000, pg.RngStream(10, purpose="gauss"),
         )
         target = math.e**3
         assert abs(report.lhs.mean - target) <= 3.0 * report.lhs.stderr
@@ -317,8 +366,8 @@ class TestPowerHarnack:
         f = get_observable("sin1", 1)
         law = pg.ClockLaw(bn.StableBernstein(0.6))
         report = ct.power_harnack_certificate(
-            f, 2.0, [0.0], [1.0], 1.0, model, law, 50_000,
-            pg.RngStream(11, purpose="st6"), grid=pg.TimeGrid.uniform(1.0, 300),
+            f, 2.0, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 300), model, law, 50_000,
+            pg.RngStream(11, purpose="st6"),
         )
         assert report.verdict == "certified"
         assert not report.notes
@@ -329,8 +378,8 @@ class TestPowerHarnack:
         f = get_observable("sin1", 1)
         law = pg.ClockLaw(bn.StableBernstein(0.4))
         report = ct.power_harnack_certificate(
-            f, 2.0, [0.0], [2.0], 1.0, model, law, 5000,
-            pg.RngStream(12, purpose="st4"), grid=pg.TimeGrid.uniform(1.0, 100),
+            f, 2.0, [0.0], [2.0], pg.TimeGrid.uniform(1.0, 100), model, law, 5000,
+            pg.RngStream(12, purpose="st4"),
         )
         assert report.verdict == "inconclusive"
         assert any("divergent" in note for note in report.notes)
@@ -340,8 +389,8 @@ class TestPowerHarnack:
         model = sde.make_model("ou", dim=1, rate=1.0)
         f = get_observable("sin1", 1)
         report = ct.power_harnack_certificate(
-            f, 100.0, [0.2], [0.2], 1.0, model, linear_law(), 20_000,
-            pg.RngStream(13, purpose="plimit"), grid=pg.TimeGrid.uniform(1.0, 200),
+            f, 100.0, [0.2], [0.2], pg.TimeGrid.uniform(1.0, 200), model, linear_law(), 20_000,
+            pg.RngStream(13, purpose="plimit"),
         )
         assert report.verdict == "certified"
         # with x = y the multiplicative factor is exp(0) = 1, so the RHS is
@@ -354,8 +403,8 @@ class TestGradientBound:
         model = sde.make_model("ou", dim=2, rate=1.0)
         f = get_observable("const", 2)
         report = ct.gradient_certificate(
-            f, [0.0, 0.0], 1.0, model, linear_law(), 5000,
-            pg.RngStream(14, purpose="gc"), grid=pg.TimeGrid.uniform(1.0, 100),
+            f, [0.0, 0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(), 5000,
+            pg.RngStream(14, purpose="gc"),
         )
         assert report.lhs.mean == pytest.approx(0.0, abs=1e-12)
         assert report.verdict == "certified"
@@ -375,9 +424,8 @@ class TestGradientBound:
                 return {"name": "sin"}
 
         report = ct.gradient_certificate(
-            Sin(), [0.0], 1.0, model, linear_law(), 100_000,
+            Sin(), [0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(), 100_000,
             pg.RngStream(15, purpose="gsin"), fd_step=0.05,
-            grid=pg.TimeGrid.uniform(1.0, 100),
         )
         assert report.verdict == "certified"
         # finite-difference bias of sin at step 0.05 is ~4e-4 relative
@@ -390,8 +438,8 @@ class TestGradientBound:
         model = sde.make_model("ou", dim=1, rate=1.0)
         f = get_observable("sin1", 1)
         report = ct.gradient_certificate(
-            f, [0.0], 3.0, model, linear_law(), 30_000,
-            pg.RngStream(16, purpose="gou"), grid=pg.TimeGrid.uniform(3.0, 300),
+            f, [0.0], pg.TimeGrid.uniform(3.0, 300), model, linear_law(), 30_000,
+            pg.RngStream(16, purpose="gou"),
         )
         assert report.verdict == "certified"
         # pathwise synchronous contraction at rate 1 over T = 3
@@ -411,9 +459,8 @@ class TestGradientBound:
         model = sde.make_model("zero", dim=1)
         f = get_observable("bump", 1)
         report = ct.gradient_certificate(
-            f, [0.0], 1.0, model, linear_law(), 2000,
+            f, [0.0], pg.TimeGrid.uniform(1.0, 20), model, linear_law(), 2000,
             pg.RngStream(18, purpose="gnoise"), fd_step=0.01,
-            grid=pg.TimeGrid.uniform(1.0, 20),
         )
         assert report.verdict == "inconclusive"
         assert any("raise n_paths or fd_step" in note for note in report.notes)
@@ -433,8 +480,8 @@ class TestStencilReplay:
         x, step = np.array([0.3, -0.2]), 0.05
         stream = pg.RngStream(44, purpose="replay-grad")
         report = ct.gradient_certificate(
-            f, x, 1.0, model, self.LAW, CHUNK_SIZE + 17, stream, fd_step=step,
-            grid=self.GRID, workers=workers,
+            f, x, self.GRID, model, self.LAW, CHUNK_SIZE + 17, stream, fd_step=step,
+            workers=workers,
         )
         noise = stream.child(purpose="grad-stencil")
         slopes = []
@@ -453,8 +500,8 @@ class TestStencilReplay:
         f = get_observable("capnorm", 2)
         stream = pg.RngStream(45, purpose="replay-cpb")
         report = ct.coupling_property_bound(
-            f, [0.0, 0.0], [0.5, 0.0], 1.0, model, self.LAW, CHUNK_SIZE + 17, stream,
-            grid=self.GRID, workers=workers,
+            f, [0.0, 0.0], [0.5, 0.0], self.GRID, model, self.LAW, CHUNK_SIZE + 17, stream,
+            workers=workers,
         )
         common = stream.child(purpose="couple-bound")
         f_x, f_y = (
@@ -470,8 +517,8 @@ class TestCouplingPropertyBound:
         model = sde.make_model("zero", dim=2)
         f = get_observable("capnorm", 2)
         report = ct.coupling_property_bound(
-            f, [0.5, 0.0], [0.5, 0.0], 4.0, model, linear_law(), 5000,
-            pg.RngStream(19, purpose="cpb0"), grid=pg.TimeGrid.uniform(4.0, 100),
+            f, [0.5, 0.0], [0.5, 0.0], pg.TimeGrid.uniform(4.0, 100), model, linear_law(), 5000,
+            pg.RngStream(19, purpose="cpb0"),
         )
         assert report.lhs.mean == 0.0
         assert report.verdict == "certified"
@@ -480,8 +527,8 @@ class TestCouplingPropertyBound:
         model = sde.make_model("zero", dim=2)
         f = get_observable("capnorm", 2)
         report = ct.coupling_property_bound(
-            f, [0.0, 0.0], [0.5, 0.0], 4.0, model, linear_law(), 50_000,
-            pg.RngStream(20, purpose="cpb"), grid=pg.TimeGrid.uniform(4.0, 200),
+            f, [0.0, 0.0], [0.5, 0.0], pg.TimeGrid.uniform(4.0, 200), model, linear_law(), 50_000,
+            pg.RngStream(20, purpose="cpb"),
         )
         assert report.rhs.mean == pytest.approx(0.25, abs=1e-9)
         assert report.verdict == "certified"
@@ -494,9 +541,8 @@ class TestCouplingPropertyBound:
         bounds = []
         for horizon in (1.0, 2.0, 4.0, 8.0):
             report = ct.coupling_property_bound(
-                f, [0.0, 0.0], [0.5, 0.0], horizon, model, law, 20_000,
+                f, [0.0, 0.0], [0.5, 0.0], pg.TimeGrid.uniform(horizon, 100), model, law, 20_000,
                 pg.RngStream(21, purpose=f"cpbT{horizon}"),
-                grid=pg.TimeGrid.uniform(horizon, 100),
             )
             assert report.verdict == "certified"
             bounds.append(report.rhs.mean)
@@ -510,8 +556,8 @@ class TestCouplingPropertyBound:
         f = get_observable("capnorm", 1)
         with pytest.raises(ValueError, match="K <= 0"):
             ct.coupling_property_bound(
-                f, [0.0], [1.0], 1.0, model, linear_law(), 2000,
-                pg.RngStream(22, purpose="cpbk"), grid=pg.TimeGrid.uniform(1.0, 20),
+                f, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 20), model, linear_law(), 2000,
+                pg.RngStream(22, purpose="cpbk"),
             )
 
     def test_unbounded_observable_rejected(self):
@@ -519,8 +565,8 @@ class TestCouplingPropertyBound:
         f = get_observable("exp_a", 1)
         with pytest.raises(ValueError, match="bounded"):
             ct.coupling_property_bound(
-                f, [0.0], [1.0], 1.0, model, linear_law(), 2000,
-                pg.RngStream(23, purpose="cpbu"), grid=pg.TimeGrid.uniform(1.0, 20),
+                f, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 20), model, linear_law(), 2000,
+                pg.RngStream(23, purpose="cpbu"),
             )
 
 

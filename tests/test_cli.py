@@ -115,6 +115,20 @@ class TestRunExperiments:
         assert cli.run_config(config, base_dir=tmp_path) == 64
         assert "config error" in capsys.readouterr().err
 
+    def test_parameter_the_model_does_not_read_is_config_error(self, tmp_path, capsys):
+        # the schema allows rate on every model; only ou reads it
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "simulate",
+            "model": {"name": "rotating", "dim": 2, "rate": 3},
+            "clock": {"type": "linear"},
+            "grid": {"horizon": 1.0, "steps": 10},
+            "mc": {"n_paths": 100, "seed": 0},
+            "observable": {"name": "sin1"},
+        }
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        assert "does not take the parameters ['rate']" in capsys.readouterr().err
+
     def test_repeated_rate_check_horizon_is_config_error(self, tmp_path, capsys):
         # four equal horizons leave the log-log slope undefined
         config = {

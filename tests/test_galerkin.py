@@ -263,8 +263,8 @@ class TestDimensionFreeCheck:
         law = pg.ClockLaw(bn.StableBernstein(0.75))
         f = get_observable("sin1", 4)
         result = gk.dimension_free_check(
-            self.family(), f, [0.0], [1.0], 1.0, (4, 16, 64), law, 6000,
-            pg.RngStream(9, purpose="dimfree"), grid=pg.TimeGrid.uniform(1.0, 120),
+            self.family(), f, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 120), (4, 16, 64), law, 6000,
+            pg.RngStream(9, purpose="dimfree"),
         )
         assert all(r.verdict == "certified" for r in result.reports)
         constants = {r.params["cost_constant"] for r in result.reports}
@@ -276,8 +276,8 @@ class TestDimensionFreeCheck:
         law = pg.ClockLaw(bn.GammaBernstein(4.0, 1.0))
         f = get_observable("sin1", 2)
         result = gk.dimension_free_check(
-            self.family(), f, [0.7], [0.7], 1.0, (2, 8), law, 4000,
-            pg.RngStream(10, purpose="dimjensen"), grid=pg.TimeGrid.uniform(1.0, 80),
+            self.family(), f, [0.7], [0.7], pg.TimeGrid.uniform(1.0, 80), (2, 8), law, 4000,
+            pg.RngStream(10, purpose="dimjensen"),
         )
         assert all(r.verdict == "certified" for r in result.reports)
 
@@ -302,8 +302,8 @@ class TestDimensionFreeCheck:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = gk.dimension_free_check(
-                self.family(1.0), f, [0.0], [0.5], 1.0, (2, 4), law, 2000,
-                pg.RngStream(13, purpose="dimwarn"), grid=pg.TimeGrid.uniform(1.0, 50),
+                self.family(1.0), f, [0.0], [0.5], pg.TimeGrid.uniform(1.0, 50), (2, 4), law, 2000,
+                pg.RngStream(13, purpose="dimwarn"),
             )
         assert not result.dimension_free_label
         assert any("diagnostic" in str(w.message) for w in caught)
@@ -313,7 +313,7 @@ class TestDimensionFreeCheck:
         f = get_observable("capnorm", 4)
         with pytest.raises(ValueError, match="cylinder"):
             gk.dimension_free_check(
-                self.family(), f, [0.0], [1.0], 1.0, (4, 8), law, 2000,
+                self.family(), f, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 250), (4, 8), law, 2000,
                 pg.RngStream(14, purpose="dimbad"),
             )
 
@@ -322,6 +322,6 @@ class TestDimensionFreeCheck:
         f = get_observable("sin1", 4)
         with pytest.raises(ValueError, match="distinct"):
             gk.dimension_free_check(
-                self.family(), f, [0.0], [1.0], 1.0, (4, 4), law, 2000,
+                self.family(), f, [0.0], [1.0], pg.TimeGrid.uniform(1.0, 250), (4, 4), law, 2000,
                 pg.RngStream(15, purpose="dimrepeat"),
             )

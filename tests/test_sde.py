@@ -158,6 +158,28 @@ class TestIntegrate:
             sde.PerturbationModel.from_function(lambda t: np.array([1.0 + t]), 1)
 
 
+class TestMakeModel:
+    @pytest.mark.parametrize(
+        "name, dim, params, unread",
+        [
+            ("ou", 1, {"rate": 2.0, "omega": 5.0}, "omega"),
+            ("rotating", 2, {"rate": 3.0}, "rate"),
+            ("zero", 1, {"rate": 1.0}, "rate"),
+            ("double_well", 1, {"contraction": 1.0}, "contraction"),
+        ],
+    )
+    def test_parameter_the_model_does_not_read_is_rejected(self, name, dim, params, unread):
+        with pytest.raises(ValueError, match=f"does not take the parameters \\['{unread}'\\]"):
+            sde.make_model(name, dim=dim, **params)
+
+    def test_params_hold_only_what_the_model_reads(self):
+        assert sde.make_model("ou", dim=1, rate=2).params == {"sigma_scale": 1.0, "rate": 2.0}
+        assert sde.make_model("rotating", dim=2, omega=5).params == {
+            "sigma_scale": 1.0, "omega": 5.0, "contraction": 0.5,
+        }
+        assert sde.make_model("zero", dim=1).params == {"sigma_scale": 1.0}
+
+
 def sixteen_modes():
     return gk.SemilinearModel(
         spectrum=gk.SpectrumModel.from_power_law(16, 2.0),
