@@ -21,6 +21,15 @@ Finite negative moments are evaluated from the identity
 
 by adaptive Gauss-Kronrod quadrature on a finite panel [0, R] with an
 analytic bound forcing the discarded tail below 1e-12 of the result.
+
+For a deterministic weight g >= 0 the Laplace-exponent identity
+E exp(-r int_0^t g dS) = exp(-int_0^t B(r g(s)) ds) (Sato, *Levy Processes and
+Infinitely Divisible Distributions*, CUP 1999) gives, with k = 1,
+
+    E[1 / int_0^t g dS] = integral_0^inf exp(-int_0^t B(r g(s)) ds) dr,
+
+which ``inverse_weighted_moment`` evaluates at many t at once, with numpy
+alone; g = 1 is ``inverse_moment`` with k = 1.
 """
 
 from __future__ import annotations
@@ -43,11 +52,21 @@ __all__ = [
     "negative_moment_finite",
     "exponential_moment_finite",
     "inverse_moment",
+    "inverse_weighted_moment",
     "bernstein_from_config",
 ]
 
 # k is restricted to keep Gamma(k) and the integrand representable.
 MAX_MOMENT_ORDER = 170.0
+
+# Trapezoid step in w = log r for inverse_weighted_moment: the integrand is
+# smooth and decays at both ends, so the rule converges geometrically in
+# 1/step and 0.2 leaves an error far below the inner rule's.  |w| stays below
+# _W_LIMIT, so exp(w) and the integrand, at most exp(w), stay finite; the
+# window stops growing once its tails are below _W_RTOL of its integral.
+_W_STEP = 0.2
+_W_LIMIT = 690.0
+_W_RTOL = 1e-12
 
 
 class InfiniteMomentError(ValueError):
@@ -311,3 +330,69 @@ def inverse_moment(bf: BernsteinFunction, k, t, abs_tol=1e-9) -> float:
     if achieved > max(abs_tol, abs_tol * abs(value)):
         raise QuadratureError("inverse_moment quadrature did not converge", achieved)
     return value
+
+
+def _end_tail(f_end, slope):
+    """Bound on the integral of a log-concave integrand beyond a window end
+    where it is f_end and its log falls at least at ``slope`` per unit of w;
+    inf where it does not fall."""
+    falls = slope > 0
+    return np.where(falls, f_end / np.where(falls, slope, 1.0), np.inf)
+
+
+def inverse_weighted_moment(bf: BernsteinFunction, knots, g, times):
+    """E[1 / int_0^t g dS] at each t in ``times``, for a deterministic weight
+    g >= 0 given at ``knots`` (0 = s_0 < s_1 < ...); every t must be a knot.
+
+    The identity in the module docstring runs in w = log r.  The inner
+    integral is the trapezoid rule in s, cumulated once for every t; the
+    outer one is the trapezoid rule in w with step ``_W_STEP``.  For the four
+    variants u B'(u) increases, so the integrand is log-concave in w, and the
+    integral beyond each window end is at most the end value over the
+    decay rate of its last step.  The window grows from the scale of
+    int g ds until both bounds are below ``_W_RTOL`` of the window's
+    integral for every t, or reaches |w| = ``_W_LIMIT``; the bounds are added
+    to the result (in the power-law tail of the gamma variant they are exact).
+
+    A t where ``negative_moment_finite(bf, 1, t)`` is False gets inf, as does
+    a t whose integrand still does not fall at the window's end (g vanishing
+    on [0, t] in floating point).
+    """
+    knots = np.asarray(knots, dtype=float)
+    g = np.asarray(g, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if knots[0] != 0.0 or np.any(np.diff(knots) <= 0) or g.shape != knots.shape or not np.all(g >= 0):
+        raise ValueError("knots must increase from 0 and carry a nonnegative weight each")
+    idx = np.searchsorted(knots, times)
+    if np.any(times <= 0) or np.any(idx >= knots.size) or np.any(knots[np.minimum(idx, knots.size - 1)] != times):
+        raise ValueError("every time must be a positive knot")
+    out = np.full(times.shape, np.inf)
+    finite = negative_moment_finite(bf, 1.0, times)
+    cols = idx[finite] - 1
+    if cols.size == 0:
+        return out
+    half_ds = np.diff(knots) / 2.0
+
+    def log_integrand(w):
+        b = bf(np.exp(w)[:, None] * g)
+        return w[:, None] - np.cumsum(half_ds * (b[:, 1:] + b[:, :-1]), axis=1)[:, cols]
+
+    # w = _W_STEP * k for integers |k| <= top, starting around -log int g ds
+    top = round(_W_LIMIT / _W_STEP)
+    mass = float(np.sum(half_ds * (g[1:] + g[:-1])))
+    centre = min(max(round(-math.log(max(mass, 1e-300)) / _W_STEP), 40 - top), top - 40)
+    k = np.arange(centre - 40, centre + 41)
+    ell = log_integrand(_W_STEP * k)
+    while True:
+        f = np.exp(ell)
+        body = _W_STEP * (f.sum(axis=0) - (f[0] + f[-1]) / 2.0)
+        tail_lo = _end_tail(f[0], (ell[1] - ell[0]) / _W_STEP)
+        tail_hi = _end_tail(f[-1], (ell[-2] - ell[-1]) / _W_STEP)
+        grow = k.size // 2
+        lo = k[:0] if np.all(tail_lo <= _W_RTOL * body) else np.arange(max(k[0] - grow, -top), k[0])
+        hi = k[:0] if np.all(tail_hi <= _W_RTOL * body) else np.arange(k[-1] + 1, min(k[-1] + grow, top) + 1)
+        if lo.size + hi.size == 0:
+            out[finite] = body + tail_lo + tail_hi
+            return out
+        ell = np.concatenate([log_integrand(_W_STEP * lo), ell, log_integrand(_W_STEP * hi)])
+        k = np.concatenate([lo, k, hi])

@@ -23,15 +23,17 @@ coordinates.  Which clock moments are finite is decided in ``bernstein``.
 
 Every certificate draws its paths through ``_f_terminals`` (f at each
 start's terminals from one multi-start ``terminal_states`` call per
-stream), takes the per-path clock sums behind the rate constant and the
-power factor from ``_cost_partials``, and is assembled by ``_report``.  The
-log-Harnack, gradient and coupling-property certificates step all of their
-starting points through one clock and noise draw per path (common random
-numbers).  The log-Harnack z-score uses the stderr of the slack on that
-joint sample: per path, the influence value f(X_T) / P_T f(x) - log f(Y_T)
-(the first-order delta-method expansion of the slack) carries the paired
-Monte Carlo error, and the independently estimated rate constant adds its
-own stderr in quadrature.  The power-Harnack certificate keeps independent
+stream) and is assembled by ``_report``.  K and lambda are deterministic,
+so the rate constant of the log-Harnack and gradient certificates is a
+deterministic quadrature of the clock's Bernstein function with no error
+bar; the power factor, whose infimum sits inside the expectation, sums
+each path's clock in ``_weighted_partials``.  The log-Harnack, gradient
+and coupling-property certificates step all of their starting points
+through one clock and noise draw per path (common random numbers).  The
+log-Harnack z-score uses the stderr of the slack on that joint sample: per
+path, the influence value f(X_T) / P_T f(x) - log f(Y_T) (the first-order
+delta-method expansion of the slack) carries the paired Monte Carlo
+error.  The power-Harnack certificate keeps independent
 streams for its two sides: its moment side f^p is heavy-tailed for
 unbounded f, and a paired z then inherits that skew (in the Gaussian
 equality case its mean is about -0.4 at 20 000 paths) where independent
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernstein as bn
-from .coupling import clock_decay
+from .coupling import _EXP_MAX, _scaled_decay
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RngStream, TimeGrid, sample_subordinator_increments
 from .sde import SdeModel, terminal_states
@@ -170,37 +172,51 @@ def default_t_grid(horizon):
 
 @dataclass(frozen=True)
 class RateConstantResult:
-    """Estimates of E[lambda_t^2 / int_0^t exp(-2K) dS] on a time grid.
+    """lambda_t^2 E[1/int_0^t exp(-2K) dS] at each time of ``t_grid``.
 
-    A grid time where any path carries zero clock mass gets mean inf and is
-    excluded from the infimum (heavy clocks really do have infinite moments
-    at small times); the result as a whole is divergent only when no
-    admissible time remains.  A time whose estimate has infinite variance
-    (``bernstein.negative_moment_finite`` with k = 2 is False: gamma clocks
-    with a*t <= 2) keeps its sample mean, gets stderr inf and is excluded
-    from the infimum too.  ``per_t_infinite`` is the share of infinite paths
-    per time, set to 1 where the mean diverges (the same rule with k = 1).
+    K and lambda are deterministic, so each value is a quadrature of the
+    clock's Bernstein function (``bernstein.inverse_weighted_moment``), not
+    an estimate.  A time gets inf where the moment is infinite (gamma clocks
+    at a*t <= 1) or where the scaled exp(-2K) underflows to zero on all of
+    [0, t] (-int_0^T K above about 370); such a time cannot be the infimum,
+    and the result is divergent when no time is finite.
     """
 
     t_grid: np.ndarray
-    per_t: tuple
-    per_t_infinite: np.ndarray
-    infimum: MCEstimate
+    per_t: np.ndarray
+    infimum: float
     argmin_t: float
 
     @property
-    def infinite_fraction(self) -> float:
-        return float(self.per_t_infinite.max())
-
-    @property
     def divergent(self) -> bool:
-        return not math.isfinite(self.infimum.mean)
+        return not math.isfinite(self.infimum)
+
+
+# Uniform steps of the knots behind the rate constant and the power factor.
+_COST_STEPS = 256
+
+
+def _cost_knots(model, horizon):
+    """default_t_grid(T), the knots (``_COST_STEPS`` uniform steps refined by
+    the t grid) and lambda_t^2 on the t grid."""
+    t_grid = default_t_grid(horizon)
+    knots = np.unique(np.concatenate([np.linspace(0.0, horizon, _COST_STEPS + 1), t_grid]))
+    lam_sq = np.asarray([model.lambda_bound(t) ** 2 for t in t_grid])
+    return t_grid, knots, lam_sq
 
 
 def _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, workers):
-    """Per-path Stieltjes sums int_0^t exp(-2K) dS at the requested times."""
-    k_cum, _, _ = clock_decay(model.k_bound, sim_times)
-    weights = np.exp(-2.0 * k_cum[:-1])
+    """Per-path Stieltjes sums int_0^t exp(-2K) dS at the requested times.
+
+    Only where exp(-2 k_cum) itself would overflow do the sums run on the
+    square of the decay scaled by 2^-shift, and are scaled back; a sum that
+    overflows is inf.
+    """
+    k_cum, decay, shift = _scaled_decay(model.k_bound, sim_times)
+    if np.max(-2.0 * k_cum[:-1]) < _EXP_MAX:
+        weights, shift = np.exp(-2.0 * k_cum[:-1]), 0
+    else:
+        weights = decay[:-1] ** 2
     durations = np.diff(sim_times)
 
     def run_chunk(gen, count):
@@ -209,80 +225,43 @@ def _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, work
         np.cumsum(inc, axis=1, out=inc)
         return inc[:, t_idx - 1]
 
-    return map_path_chunks(n_paths, stream, run_chunk, workers)
+    partials = map_path_chunks(n_paths, stream, run_chunk, workers)
+    with np.errstate(over="ignore"):
+        return np.ldexp(partials, 2 * shift)
 
 
-def _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, resolution):
-    """The t grid, per-path int_0^t exp(-2K) dS on it and lambda_t^2 there.
+def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon) -> RateConstantResult:
+    """The Harnack cost rate lambda_t^2 E[1/int_0^t exp(-2K) dS] on
+    ``default_t_grid(T)`` and its infimum over those times.
 
-    The sums run on ``resolution`` uniform steps refined by the t grid.
+    The clock sums run on ``_COST_STEPS`` uniform steps refined by the t
+    grid, with the trapezoid rule in s; exp(-2K) enters scaled by a power of
+    two and is scaled back exactly, so it cannot overflow.
     """
-    if t_grid is None:
-        t_grid = default_t_grid(horizon)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0) or np.any(t_grid > horizon + 1e-12):
-        raise ValueError("t grid must lie inside (0, T]")
-    sim_times = np.unique(
-        np.concatenate([[0.0], np.linspace(0.0, horizon, resolution + 1), t_grid])
-    )
-    t_idx = np.searchsorted(sim_times, t_grid)
-    if not np.allclose(sim_times[t_idx], t_grid):
-        raise AssertionError("t grid points must be simulation knots")
-    partials = _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, workers)
-    lam_sq = np.asarray([model.lambda_bound(t) ** 2 for t in t_grid])
-    return t_grid, partials, lam_sq
-
-
-def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon, t_grid=None, n_paths=10_000, stream: RngStream = None, workers=1, resolution=256) -> RateConstantResult:
-    """Monte Carlo estimate of the Harnack cost rate and its infimum over t.
-
-    Paths with zero clock mass before a grid time contribute +inf there, and
-    a time with an infinite mean or stderr is left out of the infimum; the
-    result is divergent when no time is left.
-    """
-    if n_paths < 1000:
-        raise ValueError("rate constant estimation needs at least 1000 paths")
-    stream = stream or RngStream(0, purpose="rate")
-    t_grid, partials, lam_sq = _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, resolution)
-    with np.errstate(divide="ignore"):
-        values = np.where(partials > 0.0, lam_sq / np.maximum(partials, 1e-300), np.inf)
-    # K and lambda are bounded: the rate's k-th moment is finite where E[1/S(t)^k] is
-    bf = clock_law.bernstein
-    per_t_infinite = np.where(bn.negative_moment_finite(bf, 1.0, t_grid), np.isinf(values).mean(axis=0), 1.0)
-    # an infinite-variance sample's std may overflow, so it keeps only its mean
-    per_t = [
-        MCEstimate.from_samples(col) if finite_variance
-        else MCEstimate(mean=float(col.mean()), stderr=math.inf, n=col.size)
-        for col, finite_variance in zip(values.T, bn.negative_moment_finite(bf, 2.0, t_grid))
-    ]
-    admissible = [j for j, est in enumerate(per_t) if math.isfinite(est.mean) and math.isfinite(est.stderr)]
-    if admissible:
-        j_min = min(admissible, key=lambda j: per_t[j].mean)
-        infimum = per_t[j_min]
-        argmin_t = float(t_grid[j_min])
-    else:
-        infimum = MCEstimate(mean=math.inf, stderr=math.inf, n=n_paths)
-        argmin_t = float(t_grid[-1])
+    t_grid, knots, lam_sq = _cost_knots(model, horizon)
+    _, decay, shift = _scaled_decay(model.k_bound, knots)
+    moments = bn.inverse_weighted_moment(clock_law.bernstein, knots, decay**2, t_grid)
+    per_t = lam_sq * np.ldexp(moments, -2 * shift)
+    j_min = int(np.argmin(per_t))
     return RateConstantResult(
-        t_grid=t_grid,
-        per_t=tuple(per_t),
-        per_t_infinite=per_t_infinite,
-        infimum=infimum,
-        argmin_t=argmin_t,
+        t_grid=t_grid, per_t=per_t, infimum=float(per_t[j_min]), argmin_t=float(t_grid[j_min]),
     )
 
 
-def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_sq, t_grid=None, n_paths=10_000, stream: RngStream = None, workers=1, resolution=256):
+def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_sq, n_paths=10_000, stream: RngStream = None, workers=1):
     """E[ inf_t exp( p lambda_t^2 |x-y|^2 / (2 (p-1)^2 int_0^t e^{-2K} dS) ) ].
 
-    Returns the estimate together with the fraction of paths whose infimum
-    overflowed to +inf; a single such path makes the estimate infinite
-    (expected when the clock puts too little mass near the horizon).
+    The infimum runs over ``default_t_grid(T)``, with the clock sums on
+    ``_COST_STEPS`` uniform steps refined by it.  Returns the estimate
+    together with the fraction of paths whose infimum overflowed to +inf; a
+    single such path makes the estimate infinite (expected when the clock
+    puts too little mass near the horizon).
     """
     if p <= 1:
         raise ValueError("power-Harnack exponent requires p > 1")
     stream = stream or RngStream(0, purpose="factor")
-    _, partials, lam_sq = _cost_partials(model, clock_law, horizon, t_grid, n_paths, stream, workers, resolution)
+    t_grid, knots, lam_sq = _cost_knots(model, horizon)
+    partials = _weighted_partials(model, clock_law, knots, np.searchsorted(knots, t_grid), n_paths, stream, workers)
     coeff = p * lam_sq * dist_sq / (2.0 * (p - 1.0) ** 2)
     with np.errstate(divide="ignore", over="ignore"):
         exponents = np.where(partials > 0.0, coeff / np.maximum(partials, 1e-300), np.inf)
@@ -304,13 +283,10 @@ def _points(model, *points):
     return points
 
 
-def _rate_term(model, clock_law, horizon, n_paths, stream, workers, rate=None):
-    """The rate constant on max(1000, n/10) paths, unless given, with its notes."""
-    rate = rate or harnack_rate_constant(
-        model, clock_law, horizon, n_paths=max(1000, n_paths // 10),
-        stream=stream, workers=workers,
-    )
-    notes = [f"rate constant divergent: {rate.infinite_fraction:.2%} of paths infinite"] if rate.divergent else []
+def _rate_term(model, clock_law, horizon, rate=None):
+    """The rate constant, unless given, with its notes."""
+    rate = rate or harnack_rate_constant(model, clock_law, horizon)
+    notes = ["rate constant divergent: infinite at every grid time"] if rate.divergent else []
     return rate, notes
 
 
@@ -334,8 +310,7 @@ def log_harnack_certificate(f, x, y, grid: TimeGrid, model: SdeModel, clock_law:
     The log of the x-side estimate carries a delta-method stderr with its
     first-order bias folded in.  Both sides come from one draw per path;
     the slack's stderr is that of the per-path influence value
-    f(X_T) / P_T f(x) - log f(Y_T), plus the log bias, combined in
-    quadrature with the independent rate-constant term.
+    f(X_T) / P_T f(x) - log f(Y_T), plus the log bias.
     """
     started = time.perf_counter()
     x, y = _points(model, x, y)
@@ -347,17 +322,15 @@ def log_harnack_certificate(f, x, y, grid: TimeGrid, model: SdeModel, clock_law:
     lhs = MCEstimate.from_samples(np.log(f_y))
     base = MCEstimate.from_samples(f_x)
 
-    rate, notes = _rate_term(model, clock_law, grid.horizon, n_paths, stream.child(purpose="log-rate"), workers, rate_result)
-    cost = rate.infimum.scaled(dist_sq / 2.0)
-    rhs = base.log().plus(cost)
+    rate, notes = _rate_term(model, clock_law, grid.horizon, rate_result)
+    rhs = base.log().plus(MCEstimate.exact(dist_sq / 2.0 * rate.infimum, n=n_paths))
     paired = MCEstimate.from_samples(f_x / base.mean - np.log(f_y))
     log_bias = base.stderr**2 / (2.0 * base.mean**2)  # as in MCEstimate.log
     params = {"x": x.tolist(), "y": y.tolist(), "T": grid.horizon, "n_paths": n_paths,
-              "argmin_t": rate.argmin_t, "cost_constant": rate.infimum.mean}
+              "argmin_t": rate.argmin_t, "cost_constant": rate.infimum}
     return _report(
         "log-harnack", f, model, clock_law, params, lhs, rhs, notes, started, stream,
-        form="infimum outside the expectation",
-        slack_stderr=math.hypot(paired.stderr + log_bias, cost.stderr),
+        form="infimum outside the expectation", slack_stderr=paired.stderr + log_bias,
     )
 
 
@@ -432,12 +405,12 @@ def gradient_certificate(f, x, grid: TimeGrid, model: SdeModel, clock_law: Clock
 
     (center,) = _f_terminals(f, model, [x], grid, clock_law, n_paths, stream.child(purpose="grad-var"), workers, method)
     var = variance_estimate(center)
-    rate, notes = _rate_term(model, clock_law, grid.horizon, n_paths, stream.child(purpose="grad-rate"), workers)
+    rate, notes = _rate_term(model, clock_law, grid.horizon)
     if best.stderr > abs(best.mean):
         notes.append(
             "finite-difference stderr exceeds the difference; raise n_paths or fd_step"
         )
-    rhs = var.times(rate.infimum)
+    rhs = var.scaled(rate.infimum)
     params = {"x": x.tolist(), "T": grid.horizon, "fd_step": fd_step, "n_paths": n_paths, "direction": j_max}
     return _report(
         "gradient-bound", f, model, clock_law, params, lhs, rhs, notes, started, stream,

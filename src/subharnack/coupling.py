@@ -57,6 +57,19 @@ __all__ = [
 _EXP_MAX = 709.0
 
 
+def _scaled_decay(k_bound, times):
+    """k_cum, the decay exp(-k_cum) 2^-s and s, as in ``clock_decay``."""
+    k_vals = np.asarray([k_bound(t) for t in times], dtype=float)
+    k_cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * (k_vals[1:] + k_vals[:-1]) / 2.0)))
+    top = float(np.max(-k_cum))
+    if top < _EXP_MAX:
+        decay = np.exp(-k_cum)
+        shift = max(int(np.frexp(decay.max())[1]) - 1, 0)
+        return k_cum, np.ldexp(decay, -shift), shift
+    shift = int(top / math.log(2.0))
+    return k_cum, np.exp(-k_cum - shift * math.log(2.0)), shift
+
+
 def clock_decay(k_bound, times, d_clock=None):
     """Accumulated bound k_cum = int_0^t K, its decay exp(-k_cum) times 2^-s,
     and the per-path Stieltjes denominators.
@@ -71,16 +84,7 @@ def clock_decay(k_bound, times, d_clock=None):
     (inf on overflow) is the sum for exp(-2 k_cum) itself.  It is None
     without them.
     """
-    k_vals = np.asarray([k_bound(t) for t in times], dtype=float)
-    k_cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * (k_vals[1:] + k_vals[:-1]) / 2.0)))
-    top = float(np.max(-k_cum))
-    if top < _EXP_MAX:
-        decay = np.exp(-k_cum)
-        shift = max(int(np.frexp(decay.max())[1]) - 1, 0)
-        decay = np.ldexp(decay, -shift)
-    else:
-        shift = int(top / math.log(2.0))
-        decay = np.exp(-k_cum - shift * math.log(2.0))
+    k_cum, decay, shift = _scaled_decay(k_bound, times)
     if d_clock is None:
         return k_cum, decay, None
     squares = decay[:-1] ** 2

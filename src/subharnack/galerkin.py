@@ -177,8 +177,10 @@ def dimension_free_check(model_family, f, x, y, grid: TimeGrid, dims, clock_law:
     observable reading at most min(dims) coordinates, and the initial points
     are given in those cylinder coordinates (zero elsewhere).  The certified
     cost constant depends only on (lambda, K, clock), so it is computed once
-    and reused verbatim; the measured slack must then show no worsening
-    trend as the dimension grows.
+    from the model at dims[0] and reused verbatim; every level must have the
+    same lambda and K bounds (checked at t = 0), or ``ValueError`` is
+    raised.  The measured slack must then show no worsening trend as the
+    dimension grows.
     """
     dims = tuple(int(n) for n in dims)
     if len(set(dims)) != len(dims):
@@ -195,10 +197,7 @@ def dimension_free_check(model_family, f, x, y, grid: TimeGrid, dims, clock_law:
         raise ValueError("initial points must live in the cylinder coordinates")
 
     reference = model_family(dims[0])
-    rate = harnack_rate_constant(
-        reference, clock_law, grid.horizon, n_paths=max(1000, n_paths // 5),
-        stream=stream.child(purpose="dimfree-rate"), workers=workers,
-    )
+    rate = harnack_rate_constant(reference, clock_law, grid.horizon)
     label = True
     converges = reference.spectrum.hs_series_converges()
     if converges is False:
@@ -214,6 +213,8 @@ def dimension_free_check(model_family, f, x, y, grid: TimeGrid, dims, clock_law:
         model = model_family(n)
         if abs(model.lambda_bound(0.0) - reference.lambda_bound(0.0)) > 1e-12:
             raise ValueError("the inverse-noise bound must be uniform in the dimension")
+        if abs(model.k_bound(0.0) - reference.k_bound(0.0)) > 1e-12:
+            raise ValueError("the drift bound K must be uniform in the dimension")
         x_n = np.zeros(n)
         x_n[: x.size] = x
         y_n = np.zeros(n)
@@ -234,6 +235,6 @@ def dimension_free_check(model_family, f, x, y, grid: TimeGrid, dims, clock_law:
         reports=tuple(reports),
         trend_slope=slope,
         trend_stderr=slope_stderr,
-        rhs_constant=rate.infimum.mean,
+        rhs_constant=rate.infimum,
         dimension_free_label=label,
     )

@@ -5,8 +5,14 @@ a signature change that breaks a workload fails here instead of in a bench
 run.  Each workload runs just over one chunk of paths, so that its 2-worker
 call forks, and must pass every gate of ``perfbench.workloads.check`` with
 the same digest at 1 and 2 workers.
+
+The CLI workloads must also load no scipy submodule on a cold start:
+``import scipy.special`` takes 0.2-0.3 s and ``import scipy.integrate``
+0.65 s, against a benchmark ``setup_s`` of about 0.26 s.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +47,21 @@ def test_workload_gates_pass_and_digests_match_across_workers(name, tmp_path):
             assert failed == [], (seed, workers, failed)
             digests.append(checked["digest"])
         assert digests[0] == digests[1], seed
+
+
+def test_cli_workloads_load_no_scipy_module(tmp_path):
+    script = f"""
+import json
+import sys
+sys.path.append({ROOT!r})
+from perfbench import specs
+from subharnack import cli
+for name in ("certify-log-ou-stable", "galerkin-dimfree"):
+    config = specs.workload_inputs(name, "warmup")
+    config["mc"]["seed"] = 0
+    config["output"] = {{"dir": name}}
+    assert cli.run_config(config, workers=1, base_dir={str(tmp_path)!r}) == 0, name
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -7,6 +7,7 @@ from subharnack import bernstein as bn
 from subharnack import certify as ct
 from subharnack import pathgen as pg
 from subharnack import sde
+from subharnack.coupling import clock_decay
 from subharnack.parallel import CHUNK_SIZE
 from subharnack.observables import get_observable
 from subharnack.stats import MCEstimate, variance_estimate
@@ -96,86 +97,100 @@ class TestVerdictPolicy:
         assert paired.to_dict()["slack_stderr"] == 0.05
 
 
+def ou_model(rate):
+    return sde.make_model("ou", dim=1, rate=rate)
+
+
 class TestRateConstant:
     def test_deterministic_clock_exact(self):
         # linear clock, K = 0, lambda = 1, T = 2: inf over t of 1/t = 1/2
         model = sde.make_model("zero", dim=1)
-        result = ct.harnack_rate_constant(
-            model, linear_law(), 2.0, n_paths=1000, stream=pg.RngStream(1, purpose="rc")
-        )
-        assert result.infimum.mean == pytest.approx(0.5, abs=1e-12)
-        assert result.infimum.stderr == pytest.approx(0.0, abs=1e-12)
+        result = ct.harnack_rate_constant(model, linear_law(), 2.0)
+        assert result.infimum == pytest.approx(0.5, abs=1e-12)
         assert result.argmin_t == pytest.approx(2.0)
         assert not result.divergent
 
     def test_expanding_bound_attained_at_horizon(self):
-        # K = 1: E[1 / int_0^t e^{-2s} ds] decreases in t; inf at t = T = 1
+        # K = 1: 1 / int_0^t e^{-2s} ds decreases in t; inf at t = T = 1
         model = sde.SdeModel(
             dim=1,
             drift=sde.DriftModel(func=lambda t, x: np.zeros_like(x), one_sided_bound=lambda t: 1.0),
             diffusion=sde.DiffusionModel.isotropic(1.0),
             perturbation=sde.PerturbationModel.zero(1),
         )
-        resolution = 4096
-        result = ct.harnack_rate_constant(
-            model, linear_law(), 1.0, n_paths=1000,
-            stream=pg.RngStream(2, purpose="rc2"), resolution=resolution,
-        )
-        expected = 2.0 / (1.0 - math.exp(-2.0))
-        assert result.infimum.mean == pytest.approx(expected, abs=expected * 4.0 / resolution)
+        result = ct.harnack_rate_constant(model, linear_law(), 1.0)
+        assert result.infimum == pytest.approx(2.0 / (1.0 - math.exp(-2.0)), rel=1e-5)
+        assert result.argmin_t == 1.0
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    def test_ou_closed_forms(self, rate):
+        # K = -a, lambda = 1: int_0^t e^{2as} dS has a closed-form inverse
+        # mean for the linear clock and, via int_0^t B(r e^{2as}) ds, for
+        # the stable clock
+        t = ct.default_t_grid(1.0)
+        linear = ct.harnack_rate_constant(ou_model(rate), linear_law(), 1.0)
+        np.testing.assert_allclose(linear.per_t, 2.0 * rate / np.expm1(2.0 * rate * t), rtol=1e-5)
+        for theta in (0.75, 0.5):
+            stable = ct.harnack_rate_constant(ou_model(rate), pg.ClockLaw(bn.StableBernstein(theta)), 1.0)
+            scale = np.expm1(2.0 * theta * rate * t) / (2.0 * theta * rate)
+            np.testing.assert_allclose(stable.per_t, math.gamma(1.0 + 1.0 / theta) * scale ** (-1.0 / theta), rtol=1e-5)
 
     def test_cross_module_oracle_all_clocks(self):
         # K = 0, lambda = 1: the rate constant is E[1/S(t)], matching the
-        # quadrature moments from the analytic layer
+        # quadrature moments from the analytic layer, and for gamma the
+        # closed form b / (a t - 1), which also holds where a t is close to 1
         model = sde.make_model("zero", dim=1)
-        cases = [
-            (bn.StableBernstein(0.75), [0.05, 0.2, 1.0]),
-            (bn.StableBernstein(0.6), [0.2, 1.0]),
-            (bn.GammaBernstein(4.0, 1.0), [0.5, 1.0]),
-            (bn.TemperedStableBernstein(0.6, 0.5), [0.2, 1.0]),
-        ]
-        for clock, t_grid in cases:
-            law = pg.ClockLaw(clock)
-            result = ct.harnack_rate_constant(
-                model, law, 1.0, t_grid=np.asarray(t_grid), n_paths=100_000,
-                stream=pg.RngStream(3, purpose=f"rc3-{type(clock).__name__}"),
-            )
-            for t, est in zip(result.t_grid, result.per_t):
-                ref = bn.inverse_moment(clock, 1, t)
-                assert abs(est.mean - ref) < 3.0 * est.stderr, (clock, t)
+        t_grid = ct.default_t_grid(1.0)
+        for clock in (bn.StableBernstein(0.75), bn.StableBernstein(0.6), bn.TemperedStableBernstein(0.6, 0.5)):
+            result = ct.harnack_rate_constant(model, pg.ClockLaw(clock), 1.0)
+            reference = [bn.inverse_moment(clock, 1, t) for t in t_grid]
+            np.testing.assert_allclose(result.per_t, reference, rtol=1e-6, err_msg=str(clock))
+        gamma = ct.harnack_rate_constant(model, pg.ClockLaw(bn.GammaBernstein(4.0, 1.0)), 1.0)
+        finite = 4.0 * t_grid > 1.0
+        assert np.isinf(gamma.per_t[~finite]).all()
+        np.testing.assert_allclose(gamma.per_t[finite], 1.0 / (4.0 * t_grid[finite] - 1.0), rtol=1e-9)
+
+    def test_agrees_with_monte_carlo_partials(self):
+        # lambda^2 mean(1 / int_0^t e^{-2K} dS) over paths on a 4096-step grid
+        model = ou_model(1.0)
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        result = ct.harnack_rate_constant(model, law, 1.0)
+        knots = np.unique(np.concatenate([np.linspace(0.0, 1.0, 4097), result.t_grid]))
+        picks = [0, 16, 31]
+        t_idx = np.searchsorted(knots, result.t_grid[picks])
+        partials = ct._weighted_partials(model, law, knots, t_idx, 2000, pg.RngStream(7, purpose="rc-mc"), 1)
+        for j, column in zip(picks, partials.T):
+            est = MCEstimate.from_samples(1.0 / column)
+            assert abs(est.mean - result.per_t[j]) < 3.0 * est.stderr, (result.t_grid[j], est, result.per_t[j])
 
     def test_divergence_flagged_for_vanishing_mass(self):
-        # gamma increments with tiny shape underflow to zero mass near t=0,
-        # matching the analytically infinite moment
+        # gamma(1, 1) has a*t <= 1 at every time up to T = 1, so E[1/S(t)]
+        # is infinite on the whole grid
         model = sde.make_model("zero", dim=1)
-        law = pg.ClockLaw(bn.GammaBernstein(1.0, 1.0))
-        result = ct.harnack_rate_constant(
-            model, law, 1.0, t_grid=np.array([1e-3, 1.0]), n_paths=2000,
-            stream=pg.RngStream(4, purpose="rc4"),
-        )
-        assert result.infinite_fraction > 0.01
+        result = ct.harnack_rate_constant(model, pg.ClockLaw(bn.GammaBernstein(1.0, 1.0)), 1.0)
+        assert np.isinf(result.per_t).all()
         assert result.divergent
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_infinite_variance_times_are_inadmissible(self):
-        # gamma(4, 1): a*t = 1, 2, 3, 4.  Var(1/S_t) is infinite at a*t <= 2,
-        # so those times keep their sample mean but carry no error bar
+    def test_gamma_times_with_a_finite_mean_are_admissible(self):
+        # gamma(1.5, 1): a*t <= 1 up to t = 2/3; above, E[1/S(t)] = 1/(1.5 t - 1)
+        # is finite (its variance is not, which does not matter without sampling)
         model = sde.make_model("zero", dim=1)
-        law = pg.ClockLaw(bn.GammaBernstein(4.0, 1.0))
-        result = ct.harnack_rate_constant(
-            model, law, 1.0, t_grid=np.array([0.25, 0.5, 0.75, 1.0]), n_paths=2000,
-            stream=pg.RngStream(5, purpose="rc5"),
-        )
-        assert [math.isinf(est.stderr) for est in result.per_t] == [True, True, False, False]
-        assert all(math.isfinite(est.mean) for est in result.per_t)
-        assert list(result.per_t_infinite[:2]) == [1.0, 0.0]
+        result = ct.harnack_rate_constant(model, pg.ClockLaw(bn.GammaBernstein(1.5, 1.0)), 1.0)
+        assert (np.isfinite(result.per_t) == (1.5 * result.t_grid > 1.0)).all()
         assert not result.divergent
-        # gamma(1.5, 1) at t = 0.5 and 1: a*t = 0.75 and 1.5, so no time is admissible
-        only_heavy = ct.harnack_rate_constant(
-            model, pg.ClockLaw(bn.GammaBernstein(1.5, 1.0)), 1.0,
-            t_grid=np.array([0.5, 1.0]), n_paths=2000, stream=pg.RngStream(6, purpose="rc6"),
-        )
-        assert only_heavy.divergent
+        assert result.infimum == pytest.approx(2.0, rel=1e-9)
+        assert result.argmin_t == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_strong_contraction_does_not_overflow(self):
+        # ou at rate 400: -int_0^T K = 400, so exp(-2 k_cum) alone overflows
+        model = ou_model(400.0)
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        result = ct.harnack_rate_constant(model, law, 1.0)
+        assert not result.divergent
+        assert 0.0 <= result.infimum < 1e-200
+        factor, infinite_fraction = ct.power_infimum_factor(model, law, 1.0, 2.0, 1.0, n_paths=1000, stream=pg.RngStream(8))
+        assert factor.mean == 1.0 and infinite_fraction == 0.0
 
     def test_weighted_partials_match_the_two_array_form(self):
         # the in-place weighting and cumulative sum against np.cumsum of a
@@ -186,7 +201,7 @@ class TestRateConstant:
         t_idx = np.array([1, 8, 16])
         stream = pg.RngStream(47, purpose="partials")
         partials = ct._weighted_partials(model, law, times, t_idx, CHUNK_SIZE + 100, stream, 1)
-        weights = np.exp(-2.0 * ct.clock_decay(model.k_bound, times)[0][:-1])
+        weights = np.exp(-2.0 * clock_decay(model.k_bound, times)[0][:-1])
         ref = []
         for chunk, count in enumerate((CHUNK_SIZE, 100)):
             gen = stream.child(replicate=chunk).generator()
@@ -206,7 +221,7 @@ MOMENT_TIMES = np.array([0.125, 0.25, 0.5, 0.75, 1.0])
     ids=lambda clock: type(clock).__name__,
 )
 def test_moment_rule_marks_inverse_moments_and_rate_times(clock):
-    # K = 0 and lambda = 1, so the rate's k-th moment is E[1/S(t)^k]
+    # the rate at K = 0 and lambda = 1 is E[1/S(t)], the weighted moment with g = 1
     finite = {k: bn.negative_moment_finite(clock, k, MOMENT_TIMES) for k in (1.0, 2.0)}
     if isinstance(clock, bn.GammaBernstein):
         assert finite[1.0].tolist() == [False, False, True, True, True]
@@ -220,12 +235,11 @@ def test_moment_rule_marks_inverse_moments_and_rate_times(clock):
             else:
                 with pytest.raises(bn.InfiniteMomentError):
                     bn.inverse_moment(clock, k, t)
-    result = ct.harnack_rate_constant(
-        sde.make_model("zero", dim=1), pg.ClockLaw(clock), 1.0, t_grid=MOMENT_TIMES,
-        n_paths=1000, stream=pg.RngStream(48, purpose="moment-rule"), resolution=16,
-    )
-    assert ((result.per_t_infinite == 1.0) == ~finite[1.0]).all()
-    assert [math.isinf(est.stderr) for est in result.per_t] == (~finite[2.0]).tolist()
+    knots = np.unique(np.concatenate([np.linspace(0.0, 1.0, 17), MOMENT_TIMES]))
+    rates = bn.inverse_weighted_moment(clock, knots, np.ones_like(knots), MOMENT_TIMES)
+    assert (np.isinf(rates) == ~finite[1.0]).all()
+    for t, rate in zip(MOMENT_TIMES[finite[1.0]], rates[finite[1.0]]):
+        assert rate == pytest.approx(bn.inverse_moment(clock, 1.0, t), rel=1e-6)
 
 
 @pytest.mark.parametrize("certificate", ["log", "power", "gradient", "coupling"])

@@ -757,13 +757,12 @@ def _transfer_estimates(workers):
     return np.array([a.mean, a.stderr, b.mean, b.stderr]),
 
 
-def _rate_constant(workers):
-    result = ct.harnack_rate_constant(
-        sde.make_model("ou", dim=2), pg.ClockLaw(bn.StableBernstein(0.75)), 1.0,
-        t_grid=[0.25, 0.5, 1.0], n_paths=CHUNK_SIZE + 17,
-        stream=pg.RngStream(42, purpose="wi-rate"), workers=workers, resolution=16,
+def _power_factor(workers):
+    factor, infinite_fraction = ct.power_infimum_factor(
+        sde.make_model("ou", dim=2), pg.ClockLaw(bn.StableBernstein(0.75)), 1.0, 2.0, 1.0,
+        n_paths=CHUNK_SIZE + 17, stream=pg.RngStream(42, purpose="wi-factor"), workers=workers,
     )
-    return np.array([(e.mean, e.stderr) for e in result.per_t]), result.per_t_infinite
+    return np.array([factor.mean, factor.stderr, infinite_fraction]),
 
 
 def _stable_rate(workers):
@@ -775,8 +774,8 @@ def _stable_rate(workers):
 
 
 @pytest.mark.parametrize(
-    "run", [_galerkin_terminals, _transfer_estimates, _rate_constant, _stable_rate],
-    ids=["galerkin-terminals", "transfer", "rate-constant", "stable-rate"],
+    "run", [_galerkin_terminals, _transfer_estimates, _power_factor, _stable_rate],
+    ids=["galerkin-terminals", "transfer", "power-factor", "stable-rate"],
 )
 def test_chunked_paths_worker_invariance(two_cpus, run):
     # more paths than one chunk, so two workers really split the work

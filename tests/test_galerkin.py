@@ -317,6 +317,24 @@ class TestDimensionFreeCheck:
                 pg.RngStream(14, purpose="dimbad"),
             )
 
+    def test_drift_bound_must_be_uniform(self):
+        # rho_1 = 0 at n = 4 and 5 at n = 16: the n = 4 cost constant would
+        # be reused where the n = 16 model's own is far smaller
+        def build(n):
+            return gk.SemilinearModel(
+                spectrum=gk.SpectrumModel(np.r_[0.0 if n == 4 else 5.0, 5.0 + np.arange(1, n)]),
+                force=lambda t, x: np.zeros_like(x),
+                force_lipschitz=lambda t: 0.0,
+                sigma_diag=1.0,
+            )
+
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        with pytest.raises(ValueError, match="drift bound K must be uniform"):
+            gk.dimension_free_check(
+                build, get_observable("sin1", 4), [0.0], [1.0], pg.TimeGrid.uniform(1.0, 50), (4, 16), law, 1000,
+                pg.RngStream(16, purpose="dimk"),
+            )
+
     def test_repeated_dims_rejected(self):
         law = pg.ClockLaw(bn.StableBernstein(0.75))
         f = get_observable("sin1", 4)
