@@ -6,9 +6,10 @@ run.  Each workload runs just over one chunk of paths, so that its 2-worker
 call forks, and must pass every gate of ``perfbench.workloads.check`` with
 the same digest at 1 and 2 workers.
 
-The CLI workloads must also load no scipy submodule on a cold start:
-``import scipy.special`` takes 0.2-0.3 s and ``import scipy.integrate``
-0.65 s, against a benchmark ``setup_s`` of about 0.26 s.
+The CLI workloads, the ``moments`` experiment and the selftest's moment
+check must also load no scipy module on a cold start: the package runs on
+numpy alone, and ``import scipy.special`` takes 0.2-0.3 s and ``import
+scipy.integrate`` 0.65 s, against a benchmark ``setup_s`` of about 0.26 s.
 """
 
 import json
@@ -55,13 +56,18 @@ import json
 import sys
 sys.path.append({ROOT!r})
 from perfbench import specs
-from subharnack import cli
+from subharnack import cli, selftest
 for name in ("certify-log-ou-stable", "galerkin-dimfree"):
     config = specs.workload_inputs(name, "warmup")
     config["mc"]["seed"] = 0
     config["output"] = {{"dir": name}}
     assert cli.run_config(config, workers=1, base_dir={str(tmp_path)!r}) == 0, name
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+moments = {{"schema": cli.SCHEMA_VERSION, "experiment": "moments", "mc": {{"n_paths": 2, "seed": 0}},
+           "clock": {{"type": "tempered_stable", "theta": 0.6, "kappa": 1.0}},
+           "moments": {{"k": 1.5, "t": 0.5}}, "output": {{"dir": "moments"}}}}
+assert cli.run_config(moments, workers=1, base_dir={str(tmp_path)!r}) == 0
+assert selftest._check_moment_oracle()[0]
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == []

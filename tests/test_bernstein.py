@@ -2,22 +2,53 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import comb, gammaincc
 from scipy.special import gamma as gamma_fn
 
 from subharnack import bernstein as bn
 
 
-def oracle_inverse_moment(bf, k, t, n_nodes=400_001):
-    """Independent check: compactify with r = u/(1-u) and use the trapezoid rule.
+def oracle_inverse_moment(bf, k, t, n_nodes=400_001, scale=1.0):
+    """Independent check: compactify with r = scale u/(1-u) and use the
+    trapezoid rule in u.
 
-    Deliberately shares nothing with the library quadrature path (no scipy
-    quad, no tail bounds); accuracy is roughly 1e-8 for the smooth cases in
-    these tests.
+    Deliberately shares nothing with the library quadrature path (no log-r
+    window, no tail bounds); accuracy is roughly 1e-8 for the smooth cases in
+    these tests when ``scale`` is near the r where t B(r) = 1.
     """
     u = np.linspace(1e-9, 1.0 - 1e-9, n_nodes)
-    r = u / (1.0 - u)
-    integrand = r ** (k - 1.0) * np.exp(-t * np.asarray(bf(r))) / (1.0 - u) ** 2
+    r = scale * u / (1.0 - u)
+    integrand = r ** (k - 1.0) * np.exp(-t * np.asarray(bf(r))) * scale / (1.0 - u) ** 2
     return np.trapezoid(integrand, u) / gamma_fn(k)
+
+
+def closed_inverse_moment(bf, k, t):
+    """E[1/S(t)^k] in closed form: linear, stable and gamma at any k; the
+    tempered law at integer k, where r = v^(1/theta) - kappa turns the
+    integral into a binomial sum of upper incomplete gamma functions."""
+    if isinstance(bf, bn.LinearBernstein):
+        return t ** (-k)
+    if isinstance(bf, bn.StableBernstein):
+        th = bf.theta
+        return math.exp(math.lgamma(k / th) - math.lgamma(k) - (k / th) * math.log(t)) / th
+    if isinstance(bf, bn.GammaBernstein):
+        at = bf.a * t
+        return math.exp(k * math.log(bf.b) + math.lgamma(at - k) - math.lgamma(at))
+    assert k == int(k), "the tempered closed form needs an integer k"
+    th, ka, c = bf.theta, bf.kappa, t * bf.kappa**bf.theta
+    terms = (
+        comb(k - 1, j) * (-ka) ** (k - 1 - j) * t ** (-(j + 1) / th) * gamma_fn((j + 1) / th) * gammaincc((j + 1) / th, c)
+        for j in range(int(k))
+    )
+    return math.exp(c) * sum(terms) / (th * gamma_fn(k))
+
+
+def quad_half_moment(bf, t):
+    """E[1/S(t)^(1/2)] by scipy's ``quad`` on (2/sqrt(pi)) int_0^inf exp(-t B(s^2)) ds,
+    the form r = s^2 of the identity, smooth at s = 0."""
+    value, _ = quad(lambda s: math.exp(-t * float(bf(s * s))), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+    return 2.0 * value / math.sqrt(math.pi)
 
 
 class TestEvaluate:
@@ -104,6 +135,18 @@ class TestLaplaceTransform:
         )
 
 
+SWEEP_LAWS = [
+    bn.LinearBernstein(),
+    bn.StableBernstein(0.3),
+    bn.StableBernstein(0.5),
+    bn.StableBernstein(0.75),
+    bn.GammaBernstein(4.0, 4.0),
+    bn.GammaBernstein(2.0, 0.5),
+    bn.TemperedStableBernstein(0.6, 1.0),
+]
+SWEEP_TIMES = np.geomspace(0.05, 20.0, 7)
+
+
 class TestInverseMoment:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -139,6 +182,42 @@ class TestInverseMoment:
     def test_against_independent_quadrature_oracle(self, bf):
         value = bn.inverse_moment(bf, 1.2, 1.3)
         assert value == pytest.approx(oracle_inverse_moment(bf, 1.2, 1.3), abs=2e-7)
+
+    @pytest.mark.parametrize("bf", SWEEP_LAWS, ids=repr)
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+    def test_sweep_against_closed_forms(self, bf, k):
+        # the tempered law at k = 1/2 has no closed form: scipy's quad instead
+        for t in SWEEP_TIMES:
+            if not bn.negative_moment_finite(bf, k, t):
+                continue
+            if isinstance(bf, bn.TemperedStableBernstein) and k == 0.5:
+                expected = quad_half_moment(bf, t)
+            else:
+                expected = closed_inverse_moment(bf, k, t)
+            assert bn.inverse_moment(bf, k, t) == pytest.approx(expected, rel=1e-10), t
+
+    @pytest.mark.parametrize("k", [20.0, 100.0, 169.0])
+    def test_high_orders_linear(self, k):
+        # the peak narrows like 1/sqrt(k); the step follows it
+        for t in (0.5, 1.0, 2.0):
+            assert bn.inverse_moment(bn.LinearBernstein(), k, t) == pytest.approx(t ** (-k), rel=1e-10)
+
+    def test_gamma_mean_just_above_its_threshold(self):
+        # a t = 1.05: E[1/S] = b / (a t - 1) = 80 has a power-law tail in r
+        # that decays only like r^(-1.05)
+        assert bn.inverse_moment(bn.GammaBernstein(4.0, 4.0), 1, 0.2625) == pytest.approx(80.0, rel=1e-12)
+        for at in (1.02, 1.1, 1.22):
+            assert bn.inverse_moment(bn.GammaBernstein(2.0, 3.0), 1, at / 2.0) == pytest.approx(3.0 / (at - 1.0), rel=1e-10)
+
+    def test_integrand_that_never_falls_is_a_quadrature_error(self):
+        # log r - 1e-300 r still rises at log r = 690, the window's limit
+        with pytest.raises(bn.QuadratureError):
+            bn.inverse_moment(bn.LinearBernstein(), 1.0, 1e-300)
+
+    def test_moment_beyond_the_float_range_raises(self):
+        # t^(-k) = 1e450
+        with pytest.raises(FloatingPointError):
+            bn.inverse_moment(bn.LinearBernstein(), 150.0, 1e-3)
 
     def test_divergent_gamma_moment_signalled(self):
         with pytest.raises(bn.InfiniteMomentError):

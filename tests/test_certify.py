@@ -11,10 +11,20 @@ from subharnack.coupling import clock_decay
 from subharnack.parallel import CHUNK_SIZE
 from subharnack.observables import get_observable
 from subharnack.stats import MCEstimate, variance_estimate
+from test_bernstein import closed_inverse_moment, oracle_inverse_moment
 
 
 def linear_law():
     return pg.ClockLaw(bn.LinearBernstein())
+
+
+def reference_inverse_mean(clock, t):
+    """E[1/S(t)] by a route that shares nothing with ``bernstein``: the closed
+    forms, and for the tempered law the trapezoid rule in u = r / (1 + r)
+    scaled to t^(-1/theta)."""
+    if isinstance(clock, bn.TemperedStableBernstein):
+        return oracle_inverse_moment(clock, 1.0, t, scale=t ** (-1.0 / clock.theta))
+    return closed_inverse_moment(clock, 1.0, t)
 
 
 class TestEstimateAlgebra:
@@ -137,13 +147,14 @@ class TestRateConstant:
 
     def test_cross_module_oracle_all_clocks(self):
         # K = 0, lambda = 1: the rate constant is E[1/S(t)], matching the
-        # quadrature moments from the analytic layer, and for gamma the
-        # closed form b / (a t - 1), which also holds where a t is close to 1
+        # closed forms Gamma(1 + 1/theta) t^(-1/theta) and, for gamma,
+        # b / (a t - 1), which also holds where a t is close to 1; the
+        # tempered law has the trapezoid oracle in u
         model = sde.make_model("zero", dim=1)
         t_grid = ct.default_t_grid(1.0)
         for clock in (bn.StableBernstein(0.75), bn.StableBernstein(0.6), bn.TemperedStableBernstein(0.6, 0.5)):
             result = ct.harnack_rate_constant(model, pg.ClockLaw(clock), 1.0)
-            reference = [bn.inverse_moment(clock, 1, t) for t in t_grid]
+            reference = [reference_inverse_mean(clock, t) for t in t_grid]
             np.testing.assert_allclose(result.per_t, reference, rtol=1e-6, err_msg=str(clock))
         gamma = ct.harnack_rate_constant(model, pg.ClockLaw(bn.GammaBernstein(4.0, 1.0)), 1.0)
         finite = 4.0 * t_grid > 1.0
@@ -239,7 +250,7 @@ def test_moment_rule_marks_inverse_moments_and_rate_times(clock):
     rates = bn.inverse_weighted_moment(clock, knots, np.ones_like(knots), MOMENT_TIMES)
     assert (np.isinf(rates) == ~finite[1.0]).all()
     for t, rate in zip(MOMENT_TIMES[finite[1.0]], rates[finite[1.0]]):
-        assert rate == pytest.approx(bn.inverse_moment(clock, 1.0, t), rel=1e-6)
+        assert rate == pytest.approx(reference_inverse_mean(clock, t), rel=1e-6)
 
 
 @pytest.mark.parametrize("certificate", ["log", "power", "gradient", "coupling"])
@@ -467,6 +478,30 @@ class TestGradientBound:
         gap_end = abs(a.terminal[0] - b.terminal[0])
         assert gap_end <= math.exp(-3.0) * 2.0
 
+    @pytest.mark.parametrize("a", [(1.0, 0.0), (0.5**0.5, 0.5**0.5)], ids=["axis", "diagonal"])
+    def test_squared_gradient_norm_in_every_direction(self, a):
+        # P_T sin(<a, x>) = e^{-|a|^2 T/2} sin(<a, x>): |grad|^2 at 0 is e^{-1}
+        # for any unit a, also off the axes, where one axis sees half of it
+        model = sde.make_model("zero", dim=2)
+        a = np.array(a)
+
+        class SinA:
+            sup_norm = 1.0
+
+            def __call__(self, z):
+                return np.sin(np.atleast_2d(z) @ a)
+
+            def describe(self):
+                return {"name": "sin_a", "a": a.tolist()}
+
+        report = ct.gradient_certificate(
+            SinA(), [0.0, 0.0], pg.TimeGrid.uniform(1.0, 100), model, linear_law(), 40_000,
+            pg.RngStream(23, purpose="gnorm"),
+        )
+        assert abs(report.lhs.mean - math.exp(-1.0)) <= 4.0 * report.lhs.stderr
+        assert "direction" not in report.params
+        assert report.verdict == "certified"
+
     def test_uninformative_difference_flagged(self):
         # the gradient of P_T bump vanishes at the origin by symmetry, so
         # the finite-difference stderr dominates the measured slope
@@ -504,9 +539,11 @@ class TestStencilReplay:
                 f(sde.terminal_states(model, start, self.GRID, self.LAW, CHUNK_SIZE + 17, noise))
                 for start in (x + offset, x - offset)
             )
-            slopes.append(MCEstimate.from_samples((plus - minus) / (2.0 * step)))
-        best = max(slopes, key=lambda e: abs(e.mean))
-        assert report.lhs == best.power(2.0)
+            slopes.append((plus - minus) / (2.0 * step))
+        mean, cov = np.mean(slopes, axis=1), np.cov(slopes)
+        n = CHUNK_SIZE + 17
+        assert report.lhs.mean == pytest.approx(mean @ mean - np.trace(cov) / n, rel=1e-12)
+        assert report.lhs.stderr == pytest.approx(2.0 * math.sqrt(mean @ cov @ mean / n), rel=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_coupling_property_pair(self, workers):
@@ -564,6 +601,18 @@ class TestCouplingPropertyBound:
         # the bound scales like T^(-1/(2 theta))
         ratio = bounds[0] / bounds[-1]
         assert ratio == pytest.approx(8.0 ** (1.0 / (2 * 0.75)), rel=1e-6)
+
+    def test_gamma_clock_just_above_the_finite_mean_threshold(self):
+        # a T = 1.05: E[1/S(T)] = b / (a T - 1) = 80 is finite, and the rhs
+        # is lambda * sup f * |x - y| * sqrt(80)
+        model = sde.make_model("zero", dim=2)
+        f = get_observable("capnorm", 2)
+        report = ct.coupling_property_bound(
+            f, [0.0, 0.0], [0.5, 0.0], pg.TimeGrid.uniform(0.2625, 20), model,
+            pg.ClockLaw(bn.GammaBernstein(4.0, 4.0)), 2000, pg.RngStream(22, purpose="cpbgamma"),
+        )
+        assert math.isfinite(report.rhs.mean)
+        assert (report.rhs.mean / 0.5) ** 2 == pytest.approx(4.0 / (4.0 * 0.2625 - 1.0), rel=1e-12)
 
     def test_positive_one_sided_bound_rejected(self):
         model = sde.make_model("double_well", dim=1)

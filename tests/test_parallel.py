@@ -17,7 +17,7 @@ from subharnack.parallel import CHUNK_SIZE, map_index_chunks, map_path_chunks
 # one instance of every exception class the package defines
 EXCEPTION_SAMPLES = {
     bn.InfiniteMomentError: bn.InfiniteMomentError("E[S^-k] diverges"),
-    bn.QuadratureError: bn.QuadratureError("no conv", 1e-3),
+    bn.QuadratureError: bn.QuadratureError("integrand does not fall"),
     cli.ConfigError: cli.ConfigError("config field $.grid: bad"),
     pg.RejectionError: pg.RejectionError("stalled at acceptance rate 1e-9"),
     sde.IntegrationError: sde.IntegrationError(12, 3),
