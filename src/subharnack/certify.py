@@ -21,6 +21,9 @@ Every certificate takes one time input, its ``TimeGrid``: the horizon is
 T = ``grid.horizon``, and the rate constant and the power factor take their
 infimum over ``default_t_grid(T)``.  Starting points must have ``model.dim``
 coordinates.  Which clock moments are finite is decided in ``bernstein``.
+Nothing a certificate can work out is taken from its caller: each
+log-Harnack and gradient certificate computes the rate constant of its own
+model, and the rate check builds its clock from theta alone.
 
 Every certificate draws its paths through ``_f_terminals`` (f at each
 start's terminals from one multi-start ``terminal_states`` call per
@@ -54,7 +57,7 @@ from .coupling import _EXP_MAX, _scaled_decay
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RngStream, TimeGrid, sample_subordinator_increments
 from .sde import SdeModel, terminal_states
-from .stats import MCEstimate, variance_estimate, weighted_slope
+from .stats import MCEstimate, weighted_slope
 
 __all__ = [
     "MCEstimate",
@@ -249,18 +252,19 @@ def harnack_rate_constant(model: SdeModel, clock_law: ClockLaw, horizon) -> Rate
     )
 
 
-def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_sq, n_paths=10_000, stream: RngStream = None, workers=1):
+def power_infimum_factor(model: SdeModel, clock_law: ClockLaw, horizon, p, dist_sq, n_paths, stream: RngStream, workers=1):
     """E[ inf_t exp( p lambda_t^2 |x-y|^2 / (2 (p-1)^2 int_0^t e^{-2K} dS) ) ].
 
     The infimum runs over ``default_t_grid(T)``, with the clock sums on
-    ``_COST_STEPS`` uniform steps refined by it.  Returns the estimate
-    together with the fraction of paths whose infimum overflowed to +inf; a
-    single such path makes the estimate infinite (expected when the clock
-    puts too little mass near the horizon).
+    ``_COST_STEPS`` uniform steps refined by it, on ``n_paths`` clock paths
+    drawn from ``stream`` (both required: the factor has no seed of its
+    own).  Returns the estimate together with the fraction of paths whose
+    infimum overflowed to +inf; a single such path makes the estimate
+    infinite (expected when the clock puts too little mass near the
+    horizon).
     """
     if p <= 1:
         raise ValueError("power-Harnack exponent requires p > 1")
-    stream = stream or RngStream(0, purpose="factor")
     t_grid, knots, lam_sq = _cost_knots(model, horizon)
     partials = _weighted_partials(model, clock_law, knots, np.searchsorted(knots, t_grid), n_paths, stream, workers)
     coeff = p * lam_sq * dist_sq / (2.0 * (p - 1.0) ** 2)
@@ -284,9 +288,9 @@ def _points(model, *points):
     return points
 
 
-def _rate_term(model, clock_law, horizon, rate=None):
-    """The rate constant, unless given, with its notes."""
-    rate = rate or harnack_rate_constant(model, clock_law, horizon)
+def _rate_term(model, clock_law, horizon):
+    """The rate constant with its notes."""
+    rate = harnack_rate_constant(model, clock_law, horizon)
     notes = ["rate constant divergent: infinite at every grid time"] if rate.divergent else []
     return rate, notes
 
@@ -303,7 +307,7 @@ def _report(inequality, f, model, clock_law, params, lhs, rhs, notes, started, s
     )
 
 
-def log_harnack_certificate(f, x, y, grid: TimeGrid, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, rate_result: RateConstantResult | None = None, method="euler") -> HarnackReport:
+def log_harnack_certificate(f, x, y, grid: TimeGrid, model: SdeModel, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler") -> HarnackReport:
     """Check P_T log f(y) <= log P_T f(x) + (|x-y|^2 / 2) * rate constant.
 
     ``grid`` is the one time input: the paths step on it and T = grid.horizon.
@@ -323,7 +327,7 @@ def log_harnack_certificate(f, x, y, grid: TimeGrid, model: SdeModel, clock_law:
     lhs = MCEstimate.from_samples(np.log(f_y))
     base = MCEstimate.from_samples(f_x)
 
-    rate, notes = _rate_term(model, clock_law, grid.horizon, rate_result)
+    rate, notes = _rate_term(model, clock_law, grid.horizon)
     rhs = base.log().plus(MCEstimate.exact(dist_sq / 2.0 * rate.infimum, n=n_paths))
     paired = MCEstimate.from_samples(f_x / base.mean - np.log(f_y))
     log_bias = base.stderr**2 / (2.0 * base.mean**2)  # as in MCEstimate.log
@@ -390,11 +394,16 @@ def gradient_certificate(f, x, grid: TimeGrid, model: SdeModel, clock_law: Clock
     most of the Monte Carlo variance of the difference.  With m and C the
     mean and covariance of the per-path difference vectors, the left side
     is the unbiased |m|^2 - tr(C)/n with stderr 2 (m^T C m / n)^(1/2).  The
-    variance side runs on its own draw, so the two sides are independent.
+    variance side runs on its own draw, so the two sides are independent:
+    it is the sample mean of n/(n-1) (f - mean f)^2, whose mean is the
+    unbiased sample variance and whose stderr is that of a sample mean (inf
+    where the squares overflow).
     """
     started = time.perf_counter()
     if fd_step <= 0:
         raise ValueError("finite-difference step must be positive")
+    if n_paths < 2:
+        raise ValueError("the gradient certificate needs at least 2 paths")
     (x,) = _points(model, x)
 
     offsets = fd_step * np.eye(model.dim)
@@ -407,7 +416,8 @@ def gradient_certificate(f, x, grid: TimeGrid, model: SdeModel, clock_law: Clock
     lhs = MCEstimate(mean=norm_sq - noise, stderr=2.0 * math.sqrt(spread / n_paths), n=n_paths)
 
     (center,) = _f_terminals(f, model, [x], grid, clock_law, n_paths, stream.child(purpose="grad-var"), workers, method)
-    var = variance_estimate(center)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as an inf stderr
+        var = MCEstimate.from_samples(n_paths / (n_paths - 1) * (center - center.mean()) ** 2)
     rate, notes = _rate_term(model, clock_law, grid.horizon)
     if noise > norm_sq:
         notes.append(
@@ -492,13 +502,13 @@ class RateFit:
         }
 
 
-def stable_rate_check(theta, model: SdeModel, T_grid, n_paths, stream: RngStream, clock=None, workers=1) -> RateFit:
-    """Fit the decay exponent of m(T) = E[1/int_0^T dS] over small horizons.
+def stable_rate_check(theta, T_grid, n_paths, stream: RngStream, workers=1) -> RateFit:
+    """Fit the decay exponent of m(T) = E[1/S(T)] over small horizons.
 
-    With K identically zero and lambda identically one the rate constant
-    reduces to E[1/S(T)], which scales like T^(-1/theta); the fitted log-log
-    slope must match -1/theta within three slope stderrs.  Pass a linear
-    clock with theta = 1 for the deterministic limit (slope exactly -1).
+    m(T) is the rate constant of K = 0 and lambda = 1, which scales like
+    T^(-1/theta) under the theta-stable clock; the fitted log-log slope must
+    match -1/theta within three slope stderrs.  theta = 1 is the linear
+    clock B(r) = r, the deterministic limit S(T) = T with slope exactly -1.
     """
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.size < 4:
@@ -507,11 +517,7 @@ def stable_rate_check(theta, model: SdeModel, T_grid, n_paths, stream: RngStream
         raise ValueError("rate fit horizons must lie in (0, 1]")
     if np.unique(T_grid).size != T_grid.size:
         raise ValueError("rate fit horizons must be distinct")
-    for t in (0.0, float(T_grid.max())):
-        if abs(model.k_bound(t)) > 1e-12 or abs(model.lambda_bound(t) - 1.0) > 1e-12:
-            raise ValueError("rate fit requires K = 0 and lambda = 1")
-    if clock is None:
-        clock = bn.StableBernstein(theta)
+    clock = bn.LinearBernstein() if theta == 1 else bn.StableBernstein(theta)
     means = np.empty(T_grid.size)
     stderrs = np.empty(T_grid.size)
     for i, horizon in enumerate(T_grid):

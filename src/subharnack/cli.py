@@ -417,10 +417,9 @@ def _run_certificate(config, workers):
 
 def _run_rate_check(config, workers):
     rc = config["rate_check"]
-    model = sde.make_model("zero", dim=1)
     stream = RngStream(config["mc"]["seed"], purpose="rate-check")
     fit = certify.stable_rate_check(
-        rc["theta"], model, np.asarray(rc["horizons"], dtype=float),
+        rc["theta"], np.asarray(rc["horizons"], dtype=float),
         config["mc"]["n_paths"], stream, workers=workers,
     )
     doc = fit.to_dict()

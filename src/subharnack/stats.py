@@ -93,30 +93,6 @@ class MCEstimate:
         return {"mean": self.mean, "stderr": self.stderr, "n": self.n}
 
 
-def variance_estimate(values) -> MCEstimate:
-    """Unbiased sample variance with its own standard error.
-
-    stderr uses the standard fourth-moment formula
-    var(s^2) = (m4 - s^4 (n-3)/(n-1)) / n; it is inf where that formula is
-    not finite, as when m4 or s^4 overflows for heavy-tailed values.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 4:
-        raise ValueError("variance stderr needs at least 4 samples")
-    centered = values - values.mean()
-    s2 = float(centered.dot(centered) / (n - 1))
-    with np.errstate(over="ignore"):
-        m4 = float(np.mean(centered**4))
-    try:
-        s4 = s2**2
-    except OverflowError:
-        s4 = math.inf
-    var_of_var = (m4 - s4 * (n - 3) / (n - 1)) / n
-    stderr = math.sqrt(max(0.0, var_of_var)) if math.isfinite(var_of_var) else math.inf
-    return MCEstimate(mean=s2, stderr=stderr, n=n)
-
-
 def weighted_slope(x, y, stderr):
     """Inverse-variance weighted least-squares slope of y on x, with its stderr.
 

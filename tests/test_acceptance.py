@@ -296,11 +296,10 @@ def test_criterion_08_gradient_bound():
 def test_criterion_09_rate_exponents():
     started = time.perf_counter()
     claims = []
-    model = sde.make_model("zero", dim=1)
     horizons = np.array([0.1, 0.2154434690031884, 0.46415888336127786, 1.0])  # one decade
     for theta in (0.5, 0.75):
         fit = ct.stable_rate_check(
-            theta, model, horizons, 100_000,
+            theta, horizons, 100_000,
             pg.RngStream(SEED, purpose=f"rate-{theta}"),
         )
         gap = abs(fit.fitted_slope + 1.0 / theta)

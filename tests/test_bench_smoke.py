@@ -6,6 +6,11 @@ run.  Each workload runs just over one chunk of paths, so that its 2-worker
 call forks, and must pass every gate of ``perfbench.workloads.check`` with
 the same digest at 1 and 2 workers.
 
+``perfbench.kernels`` calls private kernels (``_weighted_partials``,
+``_coupled_core``, ``euler_steps(method=)``) that the traced run times; at
+warm-up size every one of them must run, and only the stale
+``galerkin.mild.d64`` kernel, whose function is gone, may be absent.
+
 The CLI workloads, the ``moments`` experiment and the selftest's moment
 check must also load no scipy module on a cold start: the package runs on
 numpy alone, and ``import scipy.special`` takes 0.2-0.3 s and ``import
@@ -23,7 +28,7 @@ ROOT = str(Path(__file__).resolve().parents[1])
 if ROOT not in sys.path:
     sys.path.append(ROOT)
 
-from perfbench import specs, workloads  # noqa: E402
+from perfbench import kernels, specs, workloads  # noqa: E402
 from subharnack.parallel import CHUNK_SIZE  # noqa: E402
 
 
@@ -71,3 +76,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_traced_kernels_run_at_warmup_size():
+    _, absent = kernels.measure("warmup")
+    assert [entry.split(":")[0] for entry in absent] == ["galerkin.mild.d64.ns_per_path_step"]

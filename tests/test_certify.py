@@ -10,7 +10,7 @@ from subharnack import sde
 from subharnack.coupling import clock_decay
 from subharnack.parallel import CHUNK_SIZE
 from subharnack.observables import get_observable
-from subharnack.stats import MCEstimate, variance_estimate
+from subharnack.stats import MCEstimate
 from test_bernstein import closed_inverse_moment, oracle_inverse_moment
 
 
@@ -36,13 +36,18 @@ class TestEstimateAlgebra:
 
 
     def test_overflowing_variance_stderr_is_infinite(self):
-        # the variance is finite; its square and the fourth moment are not
-        var = variance_estimate(np.array([1e80, -1e80, 0.0, 0.0, 0.0]))
-        assert var.mean == pytest.approx(5e159)
-        assert var.stderr == math.inf
-        product = var.times(MCEstimate(mean=2.0, stderr=0.1, n=5))
-        assert product.mean == pytest.approx(1e160)
-        assert product.stderr == math.inf
+        # the gradient's variance side for f = 1e78 x: the variance (1e156)
+        # is finite, the squares of the squared deviations are not, so its
+        # stderr is inf, with no RuntimeWarning
+        report = ct.gradient_certificate(
+            lambda z: 1e78 * z[:, 0], [0.0], pg.TimeGrid.uniform(1.0, 10),
+            sde.make_model("zero", dim=1), linear_law(), 500, pg.RngStream(29, purpose="var-overflow"),
+        )
+        assert report.rhs.mean == pytest.approx(1e156, rel=0.2)
+        assert report.rhs.stderr == math.inf
+        assert report.lhs.mean == pytest.approx(1e156)
+        assert math.isfinite(report.slack)
+        assert report.notes == ("slack or its standard error is not finite",)
 
 
 class TestVerdictPolicy:
@@ -424,6 +429,14 @@ class TestPowerHarnack:
 
 
 class TestGradientBound:
+    def test_single_path_rejected(self):
+        # the variance side's n/(n - 1) needs two paths
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            ct.gradient_certificate(
+                get_observable("sin1", 1), [0.0], pg.TimeGrid.uniform(1.0, 10),
+                sde.make_model("zero", dim=1), linear_law(), 1, pg.RngStream(30, purpose="g1"),
+            )
+
     def test_constant_observable(self):
         model = sde.make_model("ou", dim=2, rate=1.0)
         f = get_observable("const", 2)
@@ -635,10 +648,8 @@ class TestCouplingPropertyBound:
 
 class TestStableRateCheck:
     def test_linear_limit_slope_exact(self):
-        model = sde.make_model("zero", dim=1)
         fit = ct.stable_rate_check(
-            1.0, model, np.array([0.1, 0.2, 0.4, 0.8]), 2000,
-            pg.RngStream(24, purpose="fit-linear"), clock=bn.LinearBernstein(),
+            1.0, np.array([0.1, 0.2, 0.4, 0.8]), 2000, pg.RngStream(24, purpose="fit-linear"),
         )
         assert fit.fitted_slope == pytest.approx(-1.0, abs=1e-9)
         assert fit.slope_stderr == 0.0
@@ -646,34 +657,23 @@ class TestStableRateCheck:
 
     @pytest.mark.parametrize("theta", [0.5, 0.75])
     def test_stable_slopes(self, theta):
-        model = sde.make_model("zero", dim=1)
         fit = ct.stable_rate_check(
-            theta, model, np.array([0.1, 0.2, 0.4, 0.8]), 100_000,
+            theta, np.array([0.1, 0.2, 0.4, 0.8]), 100_000,
             pg.RngStream(25, purpose=f"fit-{theta}"),
         )
         assert fit.consistent
         assert fit.fitted_slope == pytest.approx(-1.0 / theta, abs=3.0 * fit.slope_stderr)
 
     def test_too_few_horizons_rejected(self):
-        model = sde.make_model("zero", dim=1)
         with pytest.raises(ValueError, match="4"):
             ct.stable_rate_check(
-                0.5, model, np.array([0.1, 0.4, 0.8]), 1000,
+                0.5, np.array([0.1, 0.4, 0.8]), 1000,
                 pg.RngStream(26, purpose="few"),
             )
 
     def test_repeated_horizons_rejected(self):
-        model = sde.make_model("zero", dim=1)
         with pytest.raises(ValueError, match="distinct"):
             ct.stable_rate_check(
-                0.5, model, np.array([0.5, 0.5, 0.5, 0.5]), 1000,
+                0.5, np.array([0.5, 0.5, 0.5, 0.5]), 1000,
                 pg.RngStream(28, purpose="repeat"),
-            )
-
-    def test_nonzero_bound_model_rejected(self):
-        model = sde.make_model("ou", dim=1, rate=1.0)
-        with pytest.raises(ValueError, match="K = 0"):
-            ct.stable_rate_check(
-                0.5, model, np.array([0.1, 0.2, 0.4, 0.8]), 1000,
-                pg.RngStream(27, purpose="badmodel"),
             )

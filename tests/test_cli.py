@@ -277,6 +277,20 @@ class TestRunExperiments:
         assert report["consistent"] is True
         assert report["fitted_slope"] == pytest.approx(-2.0, abs=3.0 * report["slope_stderr"])
 
+    def test_rate_check_linear_clock(self, tmp_path):
+        # theta = 1 is the linear clock S(T) = T: slope exactly -1, no noise
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "rate-check",
+            "rate_check": {"theta": 1.0, "horizons": [0.1, 0.2, 0.4, 0.8]},
+            "mc": {"n_paths": 100, "seed": 5},
+            "output": {"dir": "rate"},
+        }
+        assert cli.main(["run", str(write_config(tmp_path, "rate.json", config))]) == 0
+        report = json.loads((tmp_path / "rate" / "report.json").read_text())
+        assert report["fitted_slope"] == pytest.approx(-1.0, abs=1e-9)
+        assert report["slope_stderr"] == 0.0
+
     def test_verdict_exit_mapping(self):
         assert cli._verdict_exit("certified") == 0
         assert cli._verdict_exit("violated") == 2

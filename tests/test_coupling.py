@@ -767,7 +767,7 @@ def _power_factor(workers):
 
 def _stable_rate(workers):
     fit = ct.stable_rate_check(
-        0.75, sde.make_model("zero", dim=1), [0.1, 0.2, 0.4, 0.8], CHUNK_SIZE + 17,
+        0.75, [0.1, 0.2, 0.4, 0.8], CHUNK_SIZE + 17,
         pg.RngStream(43, purpose="wi-stable"), workers=workers,
     )
     return fit.measured, fit.measured_stderr

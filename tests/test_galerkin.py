@@ -335,6 +335,26 @@ class TestDimensionFreeCheck:
                 pg.RngStream(16, purpose="dimk"),
             )
 
+    def test_drift_bound_agreeing_at_zero_only_is_rejected(self):
+        # K = 3 (n/4 - 1) t - 1 agrees across levels at t = 0 only; the n = 4
+        # constant 0.387 must not stand in for the n = 16 model's own 3.10
+        def build(n):
+            return gk.SemilinearModel(
+                spectrum=gk.SpectrumModel.from_power_law(n, 2.0),
+                force=lambda t, x: np.zeros_like(x),
+                force_lipschitz=lambda t: 3.0 * (n / 4.0 - 1.0) * t,
+                sigma_diag=1.0,
+            )
+
+        law = pg.ClockLaw(bn.StableBernstein(0.75))
+        with pytest.raises(ValueError, match="drift bound K must be uniform") as caught:
+            gk.dimension_free_check(
+                build, get_observable("sin1", 4), [0.0], [1.0], pg.TimeGrid.uniform(1.0, 60), (4, 16), law, 1000,
+                pg.RngStream(17, purpose="dimk-late"),
+            )
+        assert "n = 4: 0.387418" in str(caught.value)
+        assert "n = 16: 3.10033" in str(caught.value)
+
     def test_repeated_dims_rejected(self):
         law = pg.ClockLaw(bn.StableBernstein(0.75))
         f = get_observable("sin1", 4)
