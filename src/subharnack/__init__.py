@@ -30,7 +30,6 @@ from .certify import (
 )
 from .coupling import (
     CoupledPath,
-    CouplingConfig,
     girsanov_weight,
     harnack_transfer_check,
     run_coupled_batch,

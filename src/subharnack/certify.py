@@ -53,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernstein as bn
-from .coupling import _EXP_MAX, _scaled_decay
+from .coupling import _scaled_decay
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RngStream, TimeGrid, sample_subordinator_increments
-from .sde import SdeModel, terminal_states
+from .sde import SdeModel, _points, terminal_states
 from .stats import MCEstimate, weighted_slope
 
 __all__ = [
@@ -212,15 +212,11 @@ def _cost_knots(model, horizon):
 def _weighted_partials(model, clock_law, sim_times, t_idx, n_paths, stream, workers):
     """Per-path Stieltjes sums int_0^t exp(-2K) dS at the requested times.
 
-    Only where exp(-2 k_cum) itself would overflow do the sums run on the
-    square of the decay scaled by 2^-shift, and are scaled back; a sum that
-    overflows is inf.
+    As in ``harnack_rate_constant``, the sums run on the square of the decay
+    scaled by 2^-shift and are scaled back; a sum that overflows is inf.
     """
-    k_cum, decay, shift = _scaled_decay(model.k_bound, sim_times)
-    if np.max(-2.0 * k_cum[:-1]) < _EXP_MAX:
-        weights, shift = np.exp(-2.0 * k_cum[:-1]), 0
-    else:
-        weights = decay[:-1] ** 2
+    _, decay, shift = _scaled_decay(model.k_bound, sim_times)
+    weights = decay[:-1] ** 2
     durations = np.diff(sim_times)
 
     def run_chunk(gen, count):
@@ -278,14 +274,6 @@ def _f_terminals(f, model, starts, grid, clock_law, n_paths, stream, workers, me
     """f at the terminals of each start, all starts driven by one draw per path."""
     finals = terminal_states(model, np.stack(starts), grid, clock_law, n_paths, stream, workers=workers, method=method)
     return [np.asarray(f(finals[:, k]), dtype=float) for k in range(len(starts))]
-
-
-def _points(model, *points):
-    """The starting points as float vectors, each with ``model.dim`` coordinates."""
-    points = [np.atleast_1d(np.asarray(v, dtype=float)) for v in points]
-    if any(v.shape != (model.dim,) for v in points):
-        raise ValueError(f"starting points {[v.tolist() for v in points]} must have model.dim = {model.dim} coordinates")
-    return points
 
 
 def _rate_term(model, clock_law, horizon):

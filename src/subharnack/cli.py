@@ -281,8 +281,8 @@ def _grid(config) -> TimeGrid:
     return TimeGrid.uniform(config["horizon"], config["steps"])
 
 
-# Eigenvalues of the zoo's linear drifts; the CLI steps every model by
-# explicit Euler, which is stable only where |1 + h lambda| < 1.
+# Eigenvalues of the zoo's linear drifts; the CLI steps them by explicit
+# Euler, which is stable only where |1 + h lambda| < 1.
 _LINEAR_EIGENVALUES = {
     "ou": lambda p: -p["rate"],
     "rotating": lambda p: complex(-p["contraction"], p["omega"]),
@@ -290,33 +290,42 @@ _LINEAR_EIGENVALUES = {
 
 
 def _model_on_grid(config):
-    """The zoo model and its grid, refused where explicit Euler is unstable.
+    """The zoo model, its grid and the step method the CLI runs it with.
 
-    An unstable step grows the states geometrically; below the state bound
-    of ``sde.IntegrationError`` that would still give a verdict.
+    double_well steps by its resolvent ("semi_implicit"), since explicit
+    Euler blows up under the kicks of heavy clocks; the resolvent needs
+    every step h < 1.  The other models step by explicit Euler, refused
+    where it is unstable: an unstable step grows the states geometrically,
+    and below the state bound of ``sde.IntegrationError`` that would still
+    give a verdict.
     """
     model = _model(config["model"])
     grid = _grid(config["grid"])
+    h = float(np.max(grid.step_sizes))
+    if model.label == "double_well":
+        if h >= 1.0:
+            raise ConfigError(f"the double-well resolvent needs every step h < 1; got h = {h:.4g}")
+        return model, grid, "semi_implicit"
     eigenvalue = _LINEAR_EIGENVALUES.get(model.label)
     if eigenvalue is not None:
         lam = eigenvalue(model.params)
-        h = float(np.max(grid.step_sizes))
         if abs(1.0 + h * lam) >= 1.0:
             raise ConfigError(
                 f"explicit Euler is unstable for model {model.label!r} on this grid: "
                 f"|1 + h lambda| = {abs(1.0 + h * lam):.4g} >= 1 at step h = {h:.4g}; "
                 f"h must be below {-2.0 * lam.real / abs(lam) ** 2:.4g}"
             )
-    return model, grid
+    return model, grid, "euler"
 
 
-def _points(config, dim):
+def _points(config, model):
+    """The config's x and y (x defaults to 0, y to x), checked by ``sde._points``."""
     pts = config.get("points", {})
-    x = np.asarray(pts.get("x", np.zeros(dim)), dtype=float)
-    y = np.asarray(pts.get("y", x), dtype=float)
-    if x.size != dim or y.size != dim:
-        raise ConfigError("points x/y must match the model dimension")
-    return x, y
+    x = pts.get("x", [0.0] * model.dim)
+    try:
+        return sde._points(model, x, pts.get("y", x))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _verdict_exit(verdict):
@@ -324,13 +333,13 @@ def _verdict_exit(verdict):
 
 
 def _run_simulate(config, workers):
-    model, grid = _model_on_grid(config)
+    model, grid, method = _model_on_grid(config)
     law = _clock_law(config["clock"])
     f = _observable(config["observable"], model.dim)
-    x, _ = _points(config, model.dim)
+    x, _ = _points(config, model)
     stream = RngStream(config["mc"]["seed"], purpose="simulate")
     est = sde.semigroup_estimate(
-        f, x, model, law, grid, config["mc"]["n_paths"], stream, workers=workers
+        f, x, model, law, grid, config["mc"]["n_paths"], stream, workers=workers, method=method
     )
     report = {
         "experiment": "simulate",
@@ -344,19 +353,19 @@ def _run_simulate(config, workers):
         gen = stream.child(purpose="simulate-example-path").generator()
         clock = SubordinatorPath(grid=grid, values=law.sample_raw(grid, gen, 1)[0])
         bm = sample_timechanged_bm(clock, model.dim, gen)
-        extras["paths_csv"] = sde.integrate(x, model, bm, grid)
+        extras["paths_csv"] = sde.integrate(x, model, bm, method=method)
     return report, EXIT_OK, extras
 
 
 def _run_couple(config, workers):
-    model, grid = _model_on_grid(config)
+    model, grid, method = _model_on_grid(config)
     law = _clock_law(config["clock"])
-    x, y = _points(config, model.dim)
+    x, y = _points(config, model)
     delta = config.get("certify", {}).get("delta_couple")
     stream = RngStream(config["mc"]["seed"], purpose="couple")
     batch = coupling.run_coupled_batch(
         model, x, y, grid, law, config["mc"]["n_paths"], stream,
-        delta_couple=delta, workers=workers,
+        delta_couple=delta, workers=workers, method=method,
     )
     f = None
     f_values = None
@@ -386,30 +395,25 @@ def _run_couple(config, workers):
 
 def _run_certificate(config, workers):
     experiment = config["experiment"]
-    model, grid = _model_on_grid(config)
+    model, grid, method = _model_on_grid(config)
     law = _clock_law(config["clock"])
     f = _observable(config["observable"], model.dim)
-    x, y = _points(config, model.dim)
+    x, y = _points(config, model)
     n = config["mc"]["n_paths"]
     stream = RngStream(config["mc"]["seed"], purpose=experiment)
     options = config.get("certify", {})
     if experiment == "certify-log":
-        report = certify.log_harnack_certificate(
-            f, x, y, grid, model, law, n, stream, workers=workers
-        )
+        report = certify.log_harnack_certificate(f, x, y, grid, model, law, n, stream, workers=workers, method=method)
     elif experiment == "certify-power":
         report = certify.power_harnack_certificate(
-            f, options.get("p", 2.0), x, y, grid, model, law, n, stream, workers=workers,
+            f, options.get("p", 2.0), x, y, grid, model, law, n, stream, workers=workers, method=method,
         )
     elif experiment == "certify-gradient":
         report = certify.gradient_certificate(
-            f, x, grid, model, law, n, stream,
-            fd_step=options.get("fd_step", 0.05), workers=workers,
+            f, x, grid, model, law, n, stream, fd_step=options.get("fd_step", 0.05), workers=workers, method=method,
         )
     else:
-        report = certify.coupling_property_bound(
-            f, x, y, grid, model, law, n, stream, workers=workers
-        )
+        report = certify.coupling_property_bound(f, x, y, grid, model, law, n, stream, workers=workers, method=method)
     doc = report.to_dict()
     doc["experiment"] = experiment
     return doc, _verdict_exit(report.verdict), {}

@@ -13,6 +13,12 @@ is the engine behind every Harnack certificate in this package.
 drives both the coupled pair (the reweighted side) and a plain run from y
 (the direct side), each with its own noise.
 
+The three coupled drivers take the same plain inputs: the model, the
+starts x and y, and an optional ``delta_couple``.  ``simulate_coupled`` is
+the n = 1 view of the batch on a given clock and noise path.  Every driver
+checks its starts with ``sde._points`` and its threshold with
+``_threshold``.
+
 Discretization notes:
 
 * The coupling drift applied over one step is clipped at the remaining
@@ -37,11 +43,10 @@ import numpy as np
 from . import sde
 from .parallel import map_path_chunks
 from .pathgen import ClockLaw, RegularizedClock, RngStream, TimeGrid, _rows_per_block, bm_increments
-from .sde import _STATE_BOUND, SdeModel, Trajectory, _check_states
+from .sde import _STATE_BOUND, SdeModel, Trajectory, _check_states, _points
 from .stats import MCEstimate
 
 __all__ = [
-    "CouplingConfig",
     "CoupledPath",
     "CoupledBatch",
     "xi",
@@ -128,39 +133,16 @@ def xi(t, x, y, k_bound, clock: RegularizedClock) -> float:
     return float(profile[idx])
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Inputs of one coupled simulation.
-
-    ``delta_couple`` defaults to 1e-6 times the initial distance: exact
-    hitting has probability zero on a grid, so coupling is declared at that
-    threshold and the trajectories are pasted together afterwards.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    model: SdeModel
-    clock: RegularizedClock
-    delta_couple: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
-        if self.x.size != self.model.dim or self.y.size != self.model.dim:
-            raise ValueError("initial points do not match the model dimension")
-        if self.delta_couple is not None and self.delta_couple <= 0:
-            raise ValueError("delta_couple must be positive")
-
-    @property
-    def horizon(self) -> float:
-        return self.clock.grid.horizon
-
-    def threshold(self) -> float:
-        return _threshold(self.x, self.y, self.delta_couple)
-
-
 def _threshold(x, y, delta_couple):
+    """The coupling threshold: ``delta_couple``, which must be positive, or by
+    default 1e-6 times the initial distance.
+
+    Exact hitting has probability zero on a grid, so coupling is declared at
+    that threshold and the trajectories are pasted together afterwards.
+    """
     if delta_couple is not None:
+        if delta_couple <= 0:
+            raise ValueError("delta_couple must be positive")
         return delta_couple
     dist0 = float(np.linalg.norm(x - y))
     return 1e-6 * dist0 if dist0 > 0 else 1e-12
@@ -327,15 +309,20 @@ def _coupled_core(model, x, y, grid, d_clock, dw, delta, keep_path=False, method
     return out
 
 
-def simulate_coupled(cfg: CouplingConfig, bm, method="euler") -> CoupledPath:
-    """Run one coupled pair driven by the given time-changed increments."""
-    grid = cfg.clock.grid
+def simulate_coupled(model: SdeModel, x, y, clock: RegularizedClock, bm, delta_couple=None, method="euler") -> CoupledPath:
+    """Run one coupled pair from (x, y) driven by the given clock and increments.
+
+    The n = 1 view of ``_coupled_core``, with the inputs of
+    ``run_coupled_batch`` except that the clock and the noise are given.
+    """
+    x, y = _points(model, x, y)
+    grid = clock.grid
     if not np.array_equal(grid.times, bm.grid.times):
         raise ValueError("noise path and clock are not aligned")
-    d_clock = np.diff(cfg.clock.values)[None, :]
+    d_clock = np.diff(clock.values)[None, :]
     res = _coupled_core(
-        cfg.model, cfg.x, cfg.y, grid, d_clock, bm.increments[None, :, :],
-        cfg.threshold(), keep_path=True, method=method,
+        model, x, y, grid, d_clock, bm.increments[None, :, :],
+        _threshold(x, y, delta_couple), keep_path=True, method=method,
     )
     tau = int(res["tau_index"][0])
     return CoupledPath(
@@ -434,8 +421,7 @@ def _coupling_noise(clock, dim, gen):
 
 def run_coupled_batch(model: SdeModel, x, y, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, delta_couple=None, workers=1, method="euler") -> CoupledBatch:
     """Simulate independent coupled pairs under freshly drawn coupling clocks."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = _points(model, x, y)
     delta = _threshold(x, y, delta_couple)
 
     def run_chunk(gen, count):
@@ -472,8 +458,7 @@ def harnack_transfer_check(f, model: SdeModel, x, y, grid: TimeGrid, clock_law: 
     """
     if n_paths < 1000:
         raise ValueError("transfer check needs at least 1000 paths")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = _points(model, x, y)
     delta = _threshold(x, y, delta_couple)
 
     def run_chunk(gen, count):

@@ -274,7 +274,8 @@ def _check_tempered_acceptance(theta, kappa, durations):
 
 
 def _tempered_stable_increments(theta, kappa, durations, gen, shape):
-    """Exponentially tilted stable increments by rejection on the stable sampler."""
+    """Exponentially tilted stable increments of shape (n_paths, M) by
+    rejection on the stable sampler."""
     _check_tempered_acceptance(theta, kappa, durations)
     out = np.empty(shape)
     remaining = np.ones(shape, dtype=bool)
@@ -282,15 +283,15 @@ def _tempered_stable_increments(theta, kappa, durations, gen, shape):
     total_proposals = 0
     total_accepted = 0
     for _ in range(_REJECTION_ROUNDS):
-        idx = np.nonzero(remaining)
-        n_left = idx[0].size
+        rows, cols = np.nonzero(remaining)
+        n_left = rows.size
         if n_left == 0:
             break
-        proposal = scales[idx] * _standard_positive_stable(theta, gen, n_left)
+        proposal = scales[rows, cols] * _standard_positive_stable(theta, gen, n_left)
         accept = gen.random(n_left) <= np.exp(-kappa * proposal)
         total_proposals += n_left
         total_accepted += int(accept.sum())
-        take = (idx[0][accept],) if len(idx) == 1 else (idx[0][accept], idx[1][accept])
+        take = (rows[accept], cols[accept])
         out[take] = proposal[accept]
         remaining[take] = False
     else:
@@ -302,16 +303,13 @@ def _tempered_stable_increments(theta, kappa, durations, gen, shape):
     return out
 
 
-def sample_subordinator_increments(bf: BernsteinFunction, durations, gen, n_paths=None):
-    """Independent subordinator increments over the given durations.
-
-    Returns shape (len(durations),) for n_paths=None, else
-    (n_paths, len(durations)).
-    """
+def sample_subordinator_increments(bf: BernsteinFunction, durations, gen, n_paths):
+    """Independent subordinator increments over the given 1-D durations, of
+    shape (n_paths, len(durations)); row 0 of an n_paths = 1 call is one path."""
     durations = np.asarray(durations, dtype=float)
     if np.any(durations < 0):
         raise ValueError("durations must be nonnegative")
-    shape = durations.shape if n_paths is None else (n_paths,) + durations.shape
+    shape = (n_paths,) + durations.shape
     if isinstance(bf, LinearBernstein):
         return np.broadcast_to(durations, shape).copy()
     if isinstance(bf, StableBernstein):
@@ -329,14 +327,15 @@ def sample_subordinator_increments(bf: BernsteinFunction, durations, gen, n_path
 def sample_subordinator(bf: BernsteinFunction, grid: TimeGrid, rng, initial_value=0.0) -> SubordinatorPath:
     """Sample a subordinator path on the grid.
 
-    The public n = 1 view of ``sample_subordinator_increments``.
+    The public n = 1 view of ``sample_subordinator_increments``: its
+    increments are row 0 of an n_paths = 1 draw from ``rng``.
 
     ``initial_value`` lets a continuation grid (starting at the horizon of a
     previous path) pick up where that path ended, so both pieces form one
     jointly sampled path.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    inc = sample_subordinator_increments(bf, grid.step_sizes, gen)
+    inc = sample_subordinator_increments(bf, grid.step_sizes, gen, 1)[0]
     values = initial_value + np.concatenate(([0.0], np.cumsum(inc)))
     return SubordinatorPath(grid=grid, values=values)
 

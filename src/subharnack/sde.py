@@ -268,16 +268,26 @@ def euler_steps(model: SdeModel, x0s, grid: TimeGrid, dw, keep_path=False, metho
     return states
 
 
-def integrate(x0, model: SdeModel, bm, grid: TimeGrid | None = None, method="euler") -> Trajectory:
-    """Integrate one path of the equation driven by the given increments."""
-    grid = grid or bm.grid
-    if not np.array_equal(grid.times, bm.grid.times):
-        raise ValueError("noise path and grid are not aligned")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != model.dim:
-        raise ValueError("initial condition dimension does not match the model")
-    path = euler_steps(model, x0[None, :], grid, bm.increments[None, :, :], keep_path=True, method=method)
-    return Trajectory(grid=grid, states=path[0])
+def _points(model, *points):
+    """The starting points as float vectors, each with ``model.dim`` coordinates.
+
+    The one start check of every path driver: a start of another shape
+    would broadcast against the model's states instead of failing.
+    """
+    points = [np.atleast_1d(np.asarray(v, dtype=float)) for v in points]
+    if any(v.shape != (model.dim,) for v in points):
+        raise ValueError(f"starting points {[v.tolist() for v in points]} must have model.dim = {model.dim} coordinates")
+    return points
+
+
+def integrate(x0, model: SdeModel, bm, method="euler") -> Trajectory:
+    """Integrate one path from x0 on the grid of the given increments ``bm``.
+
+    The n = 1 view of ``euler_steps``.
+    """
+    (x0,) = _points(model, x0)
+    path = euler_steps(model, x0[None, :], bm.grid, bm.increments[None, :, :], keep_path=True, method=method)
+    return Trajectory(grid=bm.grid, states=path[0])
 
 
 def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_paths, stream: RngStream, workers=1, method="euler"):
@@ -290,9 +300,10 @@ def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_
     K starts of shape (K, d) give (n_paths, K, d), all K driven by the same
     clock and noise on each path (common random numbers), with [:, k, :]
     equal bit for bit to a single-start call from x0[k] on the same stream.
+    Every start must have ``model.dim`` coordinates; any other shape raises.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    starts = x0.reshape(-1, x0.shape[-1])
+    x0 = np.asarray(x0, dtype=float)
+    starts = _points(model, *(x0 if x0.ndim == 2 else [x0]))
 
     def run_chunk(gen, count):
         clock = clock_law.sample_raw(grid, gen, count)
@@ -306,7 +317,7 @@ def terminal_states(model: SdeModel, x0, grid: TimeGrid, clock_law: ClockLaw, n_
         return finals.reshape(-1, count).T
 
     rows = map_path_chunks(n_paths, stream, run_chunk, workers)
-    if x0.ndim == 1:
+    if x0.ndim < 2:
         return rows
     # (n, K, d) view of the joined (K, d, n) storage: every [:, k, :] block
     # is column-major like a single-start result

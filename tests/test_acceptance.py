@@ -147,10 +147,7 @@ def test_criterion_04_coupling_lemma():
     # deterministic-distance profile |X_t - Y_t| = |x - y| (1 - t/T) within 2h
     clock = pg.RegularizedClock(grid=grid, values=grid.times.copy(), epsilon=1.0)
     bm = pg.sample_timechanged_bm(clock, 1, pg.RngStream(SEED, purpose="lemma-profile"))
-    cfg = cp.CouplingConfig(
-        x=[1.0], y=[0.0], model=sde.make_model("zero", dim=1), clock=clock, delta_couple=1e-6
-    )
-    path = cp.simulate_coupled(cfg, bm)
+    path = cp.simulate_coupled(sde.make_model("zero", dim=1), [1.0], [0.0], clock, bm, delta_couple=1e-6)
     gaps = np.abs(path.primary.states[:, 0] - path.secondary.states[:, 0])
     worst = float(np.max(np.abs(gaps - (1.0 - grid.times))))
     claims.append((f"distance profile deviation {worst:.2e} > 2h", worst <= 2.0e-3))
@@ -354,7 +351,7 @@ def test_criterion_11_regularization_convergence():
     n_paths = 100
     for path_index in range(n_paths):
         gen = pg.RngStream(SEED, path_index, "lemma-clock").generator()
-        inc = pg.sample_subordinator_increments(bn.LinearBernstein(), np.diff(ext_times), gen)
+        inc = pg.sample_subordinator_increments(bn.LinearBernstein(), np.diff(ext_times), gen, 1)[0]
         values = np.concatenate(([0.0], np.cumsum(inc)))[None, :]
         clocks = [pg.regularized_values(grid.times, ext_times, values, eps)[0] for eps in eps_levels]
         raw = values[0, : grid.times.size]

@@ -5,9 +5,10 @@ import pytest
 
 from subharnack import bernstein as bn
 from subharnack import certify as ct
+from subharnack import coupling as cp
 from subharnack import pathgen as pg
 from subharnack import sde
-from subharnack.coupling import clock_decay
+from subharnack.coupling import _scaled_decay
 from subharnack.parallel import CHUNK_SIZE
 from subharnack.observables import get_observable
 from subharnack.stats import MCEstimate
@@ -210,19 +211,21 @@ class TestRateConstant:
 
     def test_weighted_partials_match_the_two_array_form(self):
         # the in-place weighting and cumulative sum against np.cumsum of a
-        # weighted copy, on the same draws, over two chunks
+        # weighted copy, on the same draws, over two chunks; the weights are
+        # the squared scaled decay, scaled back by 4^shift
         model = sde.make_model("ou", dim=1, rate=3.0)
         law = pg.ClockLaw(bn.StableBernstein(0.75))
         times = np.linspace(0.0, 1.0, 17)
         t_idx = np.array([1, 8, 16])
         stream = pg.RngStream(47, purpose="partials")
         partials = ct._weighted_partials(model, law, times, t_idx, CHUNK_SIZE + 100, stream, 1)
-        weights = np.exp(-2.0 * clock_decay(model.k_bound, times)[0][:-1])
+        _, decay, shift = _scaled_decay(model.k_bound, times)
+        assert shift > 0
         ref = []
         for chunk, count in enumerate((CHUNK_SIZE, 100)):
             gen = stream.child(replicate=chunk).generator()
             inc = pg.sample_subordinator_increments(law.bernstein, np.diff(times), gen, count)
-            ref.append(np.cumsum(weights * inc, axis=1)[:, t_idx - 1])
+            ref.append(np.ldexp(np.cumsum(decay[:-1] ** 2 * inc, axis=1)[:, t_idx - 1], 2 * shift))
         assert np.array_equal(partials, np.concatenate(ref))
 
 
@@ -258,21 +261,34 @@ def test_moment_rule_marks_inverse_moments_and_rate_times(clock):
         assert rate == pytest.approx(reference_inverse_mean(clock, t), rel=1e-6)
 
 
-@pytest.mark.parametrize("certificate", ["log", "power", "gradient", "coupling"])
-def test_starting_points_must_match_the_model_dimension(certificate):
+@pytest.mark.parametrize("driver", [
+    "log", "power", "gradient", "coupling", "terminal_states", "terminal_states-3d",
+    "semigroup_estimate", "run_coupled_batch", "harnack_transfer_check", "simulate_coupled", "integrate",
+])
+def test_starting_points_must_match_the_model_dimension(driver):
     # unchecked, a 1-D start on a 2-D model broadcasts to (1, 1) for the
-    # paths while |x - y|^2 is taken in one coordinate
+    # paths while |x - y|^2 is taken in one coordinate; every path driver
+    # runs the one check of sde._points
     model = sde.make_model("ou", dim=2)
     f = get_observable("sin1", 2)
     grid, law, stream = pg.TimeGrid.uniform(1.0, 10), linear_law(), pg.RngStream(49)
+    clock = pg.RegularizedClock(grid=grid, values=grid.times.copy(), epsilon=1.0)
+    bm = pg.sample_timechanged_bm(clock, 2, stream)
     calls = {
         "log": lambda: ct.log_harnack_certificate(f, [1.0], [0.0], grid, model, law, 1000, stream),
         "power": lambda: ct.power_harnack_certificate(f, 2.0, [1.0], [0.0], grid, model, law, 1000, stream),
         "gradient": lambda: ct.gradient_certificate(f, [1.0], grid, model, law, 1000, stream),
         "coupling": lambda: ct.coupling_property_bound(f, [1.0], [0.0], grid, model, law, 1000, stream),
+        "terminal_states": lambda: sde.terminal_states(model, [1.0], grid, law, 100, stream),
+        "terminal_states-3d": lambda: sde.terminal_states(model, np.zeros((2, 2, 2)), grid, law, 100, stream),
+        "semigroup_estimate": lambda: sde.semigroup_estimate(f, [1.0], model, law, grid, 100, stream),
+        "run_coupled_batch": lambda: cp.run_coupled_batch(model, [1.0], [0.0], grid, law, 100, stream),
+        "harnack_transfer_check": lambda: cp.harnack_transfer_check(f, model, [1.0], [0.0], grid, law, 1000, stream),
+        "simulate_coupled": lambda: cp.simulate_coupled(model, [1.0], [0.0], clock, bm),
+        "integrate": lambda: sde.integrate([1.0], model, bm),
     }
     with pytest.raises(ValueError, match="model.dim = 2"):
-        calls[certificate]()
+        calls[driver]()
 
 
 class TestLogHarnack:

@@ -201,6 +201,36 @@ class TestRunExperiments:
         assert status != 64, capsys.readouterr().err
         assert (tmp_path / "stiff" / "report.json").exists()
 
+    def test_double_well_steps_by_its_resolvent(self, tmp_path, capsys):
+        # explicit Euler blew up under the stable clock's kicks (exit 70)
+        status = cli.run_config(self.stiff_config({"name": "double_well", "dim": 1}, 50), base_dir=tmp_path)
+        assert status == 0, capsys.readouterr().err
+
+    def test_double_well_unit_step_is_config_error(self, tmp_path, capsys):
+        # the resolvent needs h < 1; at h = 1 explicit Euler has
+        # |1 + h (-2)| = 1 at the wells, and the run read "certified"
+        config = self.stiff_config({"name": "double_well", "dim": 1}, 1)
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "double-well resolvent needs every step h < 1" in err
+        assert not (tmp_path / "stiff").exists()
+
+    def test_certify_log_on_every_model_and_clock(self, tmp_path, capsys):
+        # a model that one of the CLI runners cannot step fails here
+        clock_params = {"linear": {}, "stable": {"theta": 0.75}, "gamma": {"a": 4.0, "b": 4.0},
+                        "tempered_stable": {"theta": 0.6, "kappa": 1.0}}
+        failed = []
+        for name in cli.CONFIG_SCHEMA["properties"]["model"]["properties"]["name"]["enum"]:
+            dim = 2 if name == "rotating" else 1
+            for kind in cli._CLOCK_SCHEMA["properties"]["type"]["enum"]:
+                config = self.stiff_config({"name": name, "dim": dim}, 50)
+                config["clock"] = {"type": kind, **clock_params[kind]}
+                config["output"] = {"dir": f"{name}-{kind}"}
+                status = cli.run_config(config, base_dir=tmp_path)
+                if status != 0:
+                    failed.append((name, kind, status, capsys.readouterr().err.strip()))
+        assert failed == []
+
     def test_stalled_sampler_exit_code(self, tmp_path, capsys, monkeypatch):
         # acceptance probability exp(-kappa^theta h) is 0 here, so the stall
         # is known before any proposal (the 10,000 rounds took 11 s on a

@@ -96,8 +96,7 @@ class TestSimulateCoupled:
         clock = identity_clock(1.0, steps)
         model = sde.make_model("zero", dim=1)
         bm = pg.sample_timechanged_bm(clock, 1, pg.RngStream(2, purpose="det"))
-        cfg = cp.CouplingConfig(x=[1.0], y=[0.0], model=model, clock=clock, delta_couple=1e-6)
-        path = cp.simulate_coupled(cfg, bm)
+        path = cp.simulate_coupled(model, [1.0], [0.0], clock, bm, delta_couple=1e-6)
         gaps = np.abs(path.primary.states[:, 0] - path.secondary.states[:, 0])
         profile = 1.0 - clock.grid.times
         assert np.max(np.abs(gaps - profile)) <= 2.0 / steps
@@ -108,8 +107,7 @@ class TestSimulateCoupled:
         clock = identity_clock(1.0, 100)
         model = sde.make_model("ou", dim=2, rate=1.0)
         bm = pg.sample_timechanged_bm(clock, 2, pg.RngStream(3, purpose="same"))
-        cfg = cp.CouplingConfig(x=[0.3, -0.1], y=[0.3, -0.1], model=model, clock=clock)
-        path = cp.simulate_coupled(cfg, bm)
+        path = cp.simulate_coupled(model, [0.3, -0.1], [0.3, -0.1], clock, bm)
         assert path.tau_index == 0
         assert path.log_weight == 0.0
         np.testing.assert_array_equal(path.primary.states, path.secondary.states)
@@ -118,8 +116,7 @@ class TestSimulateCoupled:
         clock = identity_clock(1.0, 500)
         model = sde.make_model("ou", dim=2, rate=1.0)
         bm = pg.sample_timechanged_bm(clock, 2, pg.RngStream(4, purpose="paste"))
-        cfg = cp.CouplingConfig(x=[1.0, 0.0], y=[-1.0, 0.5], model=model, clock=clock, delta_couple=1e-6)
-        path = cp.simulate_coupled(cfg, bm)
+        path = cp.simulate_coupled(model, [1.0, 0.0], [-1.0, 0.5], clock, bm, delta_couple=1e-6)
         assert path.coupled
         tau = path.tau_index
         np.testing.assert_array_equal(
@@ -132,8 +129,7 @@ class TestSimulateCoupled:
         clock = identity_clock(1.0, 500)
         model = sde.make_model("zero", dim=2)
         bm = pg.sample_timechanged_bm(clock, 2, pg.RngStream(5, purpose="mono"))
-        cfg = cp.CouplingConfig(x=[0.7, 0.2], y=[-0.4, 0.0], model=model, clock=clock)
-        path = cp.simulate_coupled(cfg, bm)
+        path = cp.simulate_coupled(model, [0.7, 0.2], [-0.4, 0.0], clock, bm)
         gaps = np.linalg.norm(path.primary.states - path.secondary.states, axis=1)
         assert np.all(np.diff(gaps) <= 1e-10)
 
@@ -149,21 +145,39 @@ class TestSimulateCoupled:
         assert batch.coupling_fraction() >= 0.999
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+@pytest.mark.parametrize("driver", ["run_coupled_batch", "harnack_transfer_check", "simulate_coupled"])
+def test_nonpositive_coupling_threshold_raises(driver, delta):
+    # unchecked, a pair never comes within delta <= 0, and the batch read a
+    # coupling fraction of 0.0
+    model = sde.make_model("ou", dim=1)
+    grid, law, stream = pg.TimeGrid.uniform(1.0, 10), pg.ClockLaw(bn.LinearBernstein()), pg.RngStream(50)
+    clock = identity_clock(1.0, 10)
+    calls = {
+        "run_coupled_batch": lambda: cp.run_coupled_batch(
+            model, [1.0], [0.0], grid, law, 100, stream, delta_couple=delta),
+        "harnack_transfer_check": lambda: cp.harnack_transfer_check(
+            lambda z: np.sin(z[:, 0]), model, [1.0], [0.0], grid, law, 1000, stream, delta_couple=delta),
+        "simulate_coupled": lambda: cp.simulate_coupled(
+            model, [1.0], [0.0], clock, pg.sample_timechanged_bm(clock, 1, stream), delta_couple=delta),
+    }
+    with pytest.raises(ValueError, match="delta_couple must be positive"):
+        calls[driver]()
+
+
 class TestGirsanovWeight:
     def test_zero_weight_for_equal_start(self):
         clock = identity_clock(1.0, 100)
         model = sde.make_model("zero", dim=1)
         bm = pg.sample_timechanged_bm(clock, 1, pg.RngStream(7, purpose="w0"))
-        cfg = cp.CouplingConfig(x=[0.5], y=[0.5], model=model, clock=clock)
-        path = cp.simulate_coupled(cfg, bm)
+        path = cp.simulate_coupled(model, [0.5], [0.5], clock, bm)
         assert cp.girsanov_weight(path, model.diffusion, clock, bm) == 0.0
 
     def test_recompute_matches_inline_accumulation(self):
         clock = identity_clock(1.0, 300)
         model = sde.make_model("ou", dim=2, rate=1.0)
         bm = pg.sample_timechanged_bm(clock, 2, pg.RngStream(8, purpose="wre"))
-        cfg = cp.CouplingConfig(x=[1.0, 0.3], y=[0.0, -0.2], model=model, clock=clock, delta_couple=1e-6)
-        path = cp.simulate_coupled(cfg, bm)
+        path = cp.simulate_coupled(model, [1.0, 0.3], [0.0, -0.2], clock, bm, delta_couple=1e-6)
         recomputed = cp.girsanov_weight(path, model.diffusion, clock, bm)
         assert recomputed == pytest.approx(path.log_weight, abs=1e-12)
 
@@ -172,8 +186,7 @@ class TestGirsanovWeight:
         other = identity_clock(1.0, 50)
         model = sde.make_model("zero", dim=1)
         bm = pg.sample_timechanged_bm(clock, 1, pg.RngStream(9, purpose="wmis"))
-        cfg = cp.CouplingConfig(x=[1.0], y=[0.0], model=model, clock=clock)
-        path = cp.simulate_coupled(cfg, bm)
+        path = cp.simulate_coupled(model, [1.0], [0.0], clock, bm)
         bm_other = pg.sample_timechanged_bm(other, 1, pg.RngStream(9, purpose="wmis2"))
         with pytest.raises(ValueError, match="mismatch"):
             cp.girsanov_weight(path, model.diffusion, clock, bm_other)
@@ -609,9 +622,8 @@ class TestWorkingSet:
         clock = identity_clock(1.0, 200)
         model = sde.make_model("rotating", dim=2)
         bm = pg.sample_timechanged_bm(clock, 2, pg.RngStream(46, purpose="single"))
-        cfg = cp.CouplingConfig(x=x, y=y, model=model, clock=clock, delta_couple=1e-6)
-        path = cp.simulate_coupled(cfg, bm)
-        ref = _reference_core(model, cfg.x, cfg.y, clock.grid, np.diff(clock.values)[None, :],
+        path = cp.simulate_coupled(model, x, y, clock, bm, delta_couple=1e-6)
+        ref = _reference_core(model, x, y, clock.grid, np.diff(clock.values)[None, :],
                               bm.increments[None, :, :], 1e-6, keep_path=True)
         assert np.array_equal(path.primary.states, ref["path_x"][0])
         assert np.array_equal(path.secondary.states, ref["path_y"][0])

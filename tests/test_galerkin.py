@@ -185,15 +185,6 @@ class TestIntegrateMild:
         d2 = np.linalg.norm(results[1] - results[2])
         assert 1.5 < d1 / d2 < 2.6
 
-    def test_clock_grid_alignment_checked(self):
-        grid = pg.TimeGrid.uniform(1.0, 10)
-        other = pg.TimeGrid.uniform(1.0, 20)
-        clock = pg.sample_subordinator(bn.LinearBernstein(), grid, pg.RngStream(0))
-        bm = pg.sample_timechanged_bm(clock, 1, pg.RngStream(1))
-        model = diagonal_model([1.0])
-        with pytest.raises(ValueError, match="aligned"):
-            sde.integrate([0.0], model, bm, grid=other)
-
 
 class TestCouplingOnTruncatedSystem:
     def test_weight_normalization_mode_count_independent(self):

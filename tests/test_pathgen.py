@@ -145,7 +145,7 @@ class TestSubordinatorSampling:
         # two halves of a uniform grid carry the same increment law
         grid = pg.TimeGrid.uniform(1.0, 10_000)
         gen = pg.RngStream(103, purpose="ks").generator()
-        inc = pg.sample_subordinator_increments(bn.StableBernstein(0.75), grid.step_sizes, gen)
+        inc = pg.sample_subordinator_increments(bn.StableBernstein(0.75), grid.step_sizes, gen, 1)[0]
         half = inc.size // 2
         _, p_value = sps.ks_2samp(inc[:half], inc[half:])
         assert p_value > 0.01

@@ -103,12 +103,6 @@ class TestIntegrate:
         assert 120 <= err.value.step_index <= 132
         assert err.value.n_failed == 64
 
-    def test_misaligned_noise_rejected(self):
-        grid = pg.TimeGrid.uniform(1.0, 10)
-        other = pg.TimeGrid.uniform(2.0, 10)
-        with pytest.raises(ValueError, match="aligned"):
-            sde.integrate([0.0], sde.make_model("zero", dim=1), zero_noise(grid), grid=other)
-
     def test_semi_implicit_stabilizes_stiff_drift(self):
         stiff = sde.make_model("ou", dim=1, rate=200.0)
         grid = pg.TimeGrid.uniform(1.0, 50)  # h = 0.02: explicit factor is -3 per step
@@ -368,7 +362,7 @@ def regularized_clock_ladder(bf, grid, eps_levels, seed, purpose="lemma-clock"):
     n_ext = int(round(max(eps_levels) / h))
     ext_times = np.concatenate([grid.times, grid.horizon + h * np.arange(1, n_ext + 1)])
     gen = pg.RngStream(seed, purpose=purpose).generator()
-    inc = pg.sample_subordinator_increments(bf, np.diff(ext_times), gen)
+    inc = pg.sample_subordinator_increments(bf, np.diff(ext_times), gen, 1)[0]
     values = np.concatenate(([0.0], np.cumsum(inc)))[None, :]
     clocks = [pg.regularized_values(grid.times, ext_times, values, eps)[0] for eps in eps_levels]
     return values[0, : grid.times.size], clocks
