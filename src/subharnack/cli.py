@@ -7,9 +7,11 @@ deterministic parallel seeding, and writes ``report.json``, an optional
 directory.
 
 Exit codes: 0 certified/completed, 2 violated, 3 inconclusive, 64 config
-errors, 70 runtime numeric errors.  The number of worker processes comes
-from ``SUBHARNACK_WORKERS`` (default 1) and never appears in the report, so
-reports are byte-identical across worker counts up to the runtime field.
+errors (any ``ValueError``: the schema, the CLI or the library rejected an
+input), 70 runtime numeric errors (the four types ``run_config`` names).
+The number of worker processes comes from ``SUBHARNACK_WORKERS`` (default
+1) and never appears in the report, so reports are byte-identical across
+worker counts up to the runtime field.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import bernstein as bn
 from . import certify, coupling, galerkin, sde
 from .observables import OBSERVABLE_NAMES, get_observable
 from .parallel import worker_count_from_env
-from .pathgen import ClockLaw, RejectionError, RngStream, SubordinatorPath, TimeGrid, sample_timechanged_bm
+from .pathgen import ClockLaw, RejectionError, RngStream, TimeChangedBMPath, TimeGrid, bm_increments
 from .selftest import run_selftest
 
 __all__ = ["main", "run_config", "validate_config", "CONFIG_SCHEMA"]
@@ -74,7 +76,7 @@ CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "additionalProperties": False,
-    "required": ["schema", "experiment", "mc"],
+    "required": ["schema", "experiment"],
     "properties": {
         "schema": {"const": SCHEMA_VERSION},
         "experiment": {
@@ -209,14 +211,14 @@ CONFIG_SCHEMA = {
 }
 
 _REQUIRED_BLOCKS = {
-    "simulate": ("model", "clock", "grid", "observable"),
-    "couple": ("model", "clock", "grid", "points"),
-    "certify-log": ("model", "clock", "grid", "observable", "points"),
-    "certify-power": ("model", "clock", "grid", "observable", "points"),
-    "certify-gradient": ("model", "clock", "grid", "observable"),
-    "certify-coupling-bound": ("model", "clock", "grid", "observable", "points"),
-    "rate-check": ("rate_check",),
-    "galerkin-check": ("clock", "grid", "galerkin", "points"),
+    "simulate": ("model", "clock", "grid", "mc", "observable"),
+    "couple": ("model", "clock", "grid", "mc", "points"),
+    "certify-log": ("model", "clock", "grid", "mc", "observable", "points"),
+    "certify-power": ("model", "clock", "grid", "mc", "observable", "points"),
+    "certify-gradient": ("model", "clock", "grid", "mc", "observable"),
+    "certify-coupling-bound": ("model", "clock", "grid", "mc", "observable", "points"),
+    "rate-check": ("rate_check", "mc"),
+    "galerkin-check": ("clock", "grid", "mc", "galerkin", "points"),
     "moments": ("clock", "moments"),
 }
 
@@ -261,15 +263,8 @@ def _model(config) -> sde.SdeModel:
     perturbation = None
     if pert_cfg and pert_cfg["kind"] == "ramp":
         velocity = np.asarray(pert_cfg.get("velocity", [1.0] * dim), dtype=float)
-        if velocity.size != dim:
-            raise ConfigError("perturbation velocity must match the model dimension")
-        perturbation = sde.PerturbationModel.from_function(
-            lambda t, _v=velocity: _v * t, dim
-        )
-    try:
-        return sde.make_model(name, dim=dim, sigma_scale=sigma_scale, perturbation=perturbation, **cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        perturbation = sde.PerturbationModel.from_function(lambda t, _v=velocity: _v * t, dim)
+    return sde.make_model(name, dim=dim, sigma_scale=sigma_scale, perturbation=perturbation, **cfg)
 
 
 def _observable(config, dim):
@@ -293,19 +288,17 @@ def _model_on_grid(config):
     """The zoo model, its grid and the step method the CLI runs it with.
 
     double_well steps by its resolvent ("semi_implicit"), since explicit
-    Euler blows up under the kicks of heavy clocks; the resolvent needs
-    every step h < 1.  The other models step by explicit Euler, refused
-    where it is unstable: an unstable step grows the states geometrically,
-    and below the state bound of ``sde.IntegrationError`` that would still
-    give a verdict.
+    Euler blows up under the kicks of heavy clocks; the resolvent itself
+    refuses a step h >= 1.  The other models step by explicit Euler,
+    refused where it is unstable: an unstable step grows the states
+    geometrically, and below the state bound of ``sde.IntegrationError``
+    that would still give a verdict.
     """
     model = _model(config["model"])
     grid = _grid(config["grid"])
-    h = float(np.max(grid.step_sizes))
     if model.label == "double_well":
-        if h >= 1.0:
-            raise ConfigError(f"the double-well resolvent needs every step h < 1; got h = {h:.4g}")
         return model, grid, "semi_implicit"
+    h = float(np.max(grid.step_sizes))
     eigenvalue = _LINEAR_EIGENVALUES.get(model.label)
     if eigenvalue is not None:
         lam = eigenvalue(model.params)
@@ -319,13 +312,10 @@ def _model_on_grid(config):
 
 
 def _points(config, model):
-    """The config's x and y (x defaults to 0, y to x), checked by ``sde._points``."""
+    """The config's x and y (x defaults to 0, y to x); every path driver checks them."""
     pts = config.get("points", {})
     x = pts.get("x", [0.0] * model.dim)
-    try:
-        return sde._points(model, x, pts.get("y", x))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return x, pts.get("y", x)
 
 
 def _verdict_exit(verdict):
@@ -350,9 +340,10 @@ def _run_simulate(config, workers):
     }
     extras = {}
     if config.get("output", {}).get("paths_csv"):
+        # an overflowed clock gives non-finite noise: an IntegrationError
         gen = stream.child(purpose="simulate-example-path").generator()
-        clock = SubordinatorPath(grid=grid, values=law.sample_raw(grid, gen, 1)[0])
-        bm = sample_timechanged_bm(clock, model.dim, gen)
+        dw = bm_increments(law.sample_raw(grid, gen, 1)[0], model.dim, gen)
+        bm = TimeChangedBMPath(grid=grid, dimension=model.dim, increments=dw)
         extras["paths_csv"] = sde.integrate(x, model, bm, method=method)
     return report, EXIT_OK, extras
 
@@ -486,11 +477,9 @@ def _run_moments(config, workers):
         "bernstein": law.bernstein.to_config(),
         "k": mcfg["k"],
         "t": mcfg["t"],
-        "seed": config["mc"]["seed"],
     }
     try:
-        value = bn.inverse_moment(law.bernstein, mcfg["k"], mcfg["t"])
-        doc["value"] = value
+        doc["value"] = bn.inverse_moment(law.bernstein, mcfg["k"], mcfg["t"])
         doc["stderr"] = 0.0
         doc["infinite"] = False
     except bn.InfiniteMomentError as exc:
@@ -566,26 +555,23 @@ def _write_couple_csv(path, batch, f_values):
 
 
 def run_config(config: dict, workers=None, base_dir=".") -> int:
-    """Validate and execute one experiment config; returns the exit status."""
+    """Validate and execute one experiment config; returns the exit status.
+
+    A failure prints one stderr line and writes nothing, and the exception's
+    type picks the code: 64 for any ``ValueError``; 70 for the numeric
+    types ``sde.IntegrationError``, ``bernstein.QuadratureError``,
+    ``pathgen.RejectionError`` and ``ArithmeticError``, which checks on
+    computed results raise.
+    """
     try:
         validate_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    workers = workers if workers is not None else worker_count_from_env()
-    started = time.perf_counter()
-    try:
+        workers = workers if workers is not None else worker_count_from_env()
+        started = time.perf_counter()
         report, status, extras = _RUNNERS[config["experiment"]](config, workers)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        sde.IntegrationError,
-        bn.QuadratureError,
-        RejectionError,
-        ArithmeticError,
-        ValueError,
-    ) as exc:
+    except (sde.IntegrationError, bn.QuadratureError, RejectionError, ArithmeticError) as exc:
         print(f"numeric failure in {config['experiment']}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     report["runtime_seconds"] = time.perf_counter() - started
@@ -637,7 +623,6 @@ def _cmd_moments(args) -> int:
         "experiment": "moments",
         "clock": clock,
         "moments": {"k": args.k, "t": args.t},
-        "mc": {"n_paths": 2, "seed": 0},
         "output": {"dir": args.out},
     }
     return run_config(config)

@@ -87,7 +87,7 @@ def clock_decay(k_bound, times, d_clock=None):
     (2^s Q, 4^s Q) for the left-point Stieltjes sum Q of the squares against
     the clock, summed in row blocks: xi = |x - y| decay / (2^s Q), and 4^s Q
     (inf on overflow) is the sum for exp(-2 k_cum) itself.  It is None
-    without them.
+    without them.  A sum Q that underflows to 0 raises FloatingPointError.
     """
     k_cum, decay, shift = _scaled_decay(k_bound, times)
     if d_clock is None:
@@ -100,7 +100,7 @@ def clock_decay(k_bound, times, d_clock=None):
         mass[start:start + step] = np.sum(squares * rows[start:start + step], axis=-1)
     mass = mass.reshape(d_clock.shape[:-1])
     if np.any(mass <= 0):
-        raise ValueError("degenerate clock: zero Stieltjes mass over the horizon")
+        raise FloatingPointError("degenerate clock: zero Stieltjes mass over the horizon")
     with np.errstate(over="ignore"):
         return k_cum, decay, (np.ldexp(mass, shift), np.ldexp(mass, 2 * shift))
 

@@ -122,6 +122,8 @@ class SemilinearModel:
         object.__setattr__(self, "diffusion", DiffusionModel.diagonal(sigma))
         if self.perturbation is None:
             object.__setattr__(self, "perturbation", PerturbationModel.zero(self.spectrum.n_modes))
+        if self.perturbation.dim != self.dim:
+            raise ValueError(f"perturbation dimension {self.perturbation.dim} does not match the mode count {self.dim}")
 
     @property
     def dim(self) -> int:

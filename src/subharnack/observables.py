@@ -43,7 +43,9 @@ def get_observable(name, dim, **params) -> Observable:
     * ``sin1``    f(z) = 2 + sin(z_1), strictly positive and bounded
     * ``bump``    f(z) = exp(-|z_m|^2) over the first m coordinates
                   (``coords`` parameter, default all)
-    * ``exp_a``   f(z) = exp(<a, z>); unbounded, used for Gaussian oracles
+    * ``exp_a``   f(z) = exp(<a, z>) over the first dim coordinates, so a
+                  wider state is read by its cylinder; unbounded, used for
+                  Gaussian oracles
     * ``capnorm`` f(z) = min(1, |z|), bounded but vanishing at the origin
     """
     if name == "const":
@@ -88,7 +90,7 @@ def get_observable(name, dim, **params) -> Observable:
         cylinder = int(nonzero[-1]) + 1 if nonzero.size else 0
         return Observable(
             name=name,
-            fn=lambda z, _a=direction: np.exp(z @ _a),
+            fn=lambda z, _a=direction: np.exp(z[:, :_a.size] @ _a),
             sup_norm=None,
             cylinder_dim=cylinder if cylinder < dim else None,
             params={"direction": direction.tolist()},

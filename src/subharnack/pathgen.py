@@ -353,7 +353,8 @@ def regularized_values(base_times, comb_times, comb_values, epsilon, out=None):
     first knots of comb_times.  The cumulative integral of a step function is
     piecewise linear, so both window ends evaluate exactly.  Rows are
     processed in blocks of about ``_BLOCK`` elements, and the result is
-    column-major unless ``out`` is given.
+    column-major unless ``out`` is given.  A row that the rounding of large
+    values leaves not strictly increasing raises FloatingPointError.
     """
     if comb_times[-1] < base_times[-1] + epsilon - 1e-12:
         raise ValueError(
@@ -385,6 +386,8 @@ def regularized_values(base_times, comb_times, comb_values, epsilon, out=None):
         window -= c[:, :n_base]
         window /= epsilon
         window += floor
+        if np.any(window[:, 1:] <= window[:, :-1]):
+            raise FloatingPointError(f"the regularized clock lost its strict increase to rounding at values up to {np.max(window):.3g}")
         out[start:start + step] = window
     return out
 
@@ -484,6 +487,9 @@ class ClockLaw:
         h_last = grid.times[-1] - grid.times[-2]
         n_ext = max(1, int(math.ceil(self.epsilon / h_last - 1e-12)))
         extra = grid.times[-1] + h_last * np.arange(1, n_ext + 1)
+        # at a large horizon rounding can leave the last knot short of T + eps
+        if extra[-1] < grid.times[-1] + self.epsilon - 1e-12:
+            extra[-1] = grid.times[-1] + self.epsilon
         return np.concatenate([grid.times, extra])
 
     def sample_coupling(self, grid: TimeGrid, gen, n_paths: int):

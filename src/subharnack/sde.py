@@ -171,6 +171,8 @@ class PerturbationModel:
     @classmethod
     def from_function(cls, func, dim):
         v0 = np.asarray(func(0.0), dtype=float)
+        if v0.shape != (dim,):
+            raise ValueError(f"perturbation V_t must have shape ({dim},), got {v0.shape}")
         if not np.allclose(v0, 0.0, atol=1e-12):
             raise ValueError("perturbation must start at V_0 = 0")
         return cls(dim=dim, func=func)
@@ -349,7 +351,7 @@ def _double_well_resolvent(t, h, rhs):
     step outside (0, 1) raises ValueError.
     """
     if not 0.0 < h < 1.0:
-        raise ValueError(f"double-well resolvent needs a step 0 < h < 1, got h={h}")
+        raise ValueError(f"the double-well resolvent needs every step h < 1 and h > 0; got h={h}")
     k = math.sqrt((1.0 - h) / (3.0 * h))
     # 2 h k^3 = 2 k (1 - h) / 3, which stays finite for tiny h
     u = np.arcsinh(np.asarray(rhs, dtype=float) * (1.5 / (k * (1.0 - h))))
@@ -371,6 +373,8 @@ def make_model(name, dim=1, sigma_scale=1.0, perturbation=None, **params) -> Sde
     """
     diffusion = DiffusionModel.isotropic(sigma_scale)
     perturbation = perturbation or PerturbationModel.zero(dim)
+    if perturbation.dim != dim:
+        raise ValueError(f"perturbation dimension {perturbation.dim} does not match the model dimension {dim}")
     own = {}
     if name == "zero":
         drift = DriftModel(

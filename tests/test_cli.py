@@ -374,6 +374,136 @@ class TestRunExperiments:
         assert len(capsys.readouterr().err.splitlines()) == lines
 
 
+def rejected_input_configs():
+    """Schema-valid configs that the library rejects before any path runs."""
+    def path_config(experiment, observable, model=None, points=None):
+        model = model or {"name": "ou", "dim": 2}
+        return {
+            "schema": "subharnack/1",
+            "experiment": experiment,
+            "model": model,
+            "clock": {"type": "stable", "theta": 0.75},
+            "grid": {"horizon": 1.0, "steps": 20},
+            "mc": {"n_paths": 2000, "seed": 0},
+            "observable": observable,
+            "points": points or {"x": [0.0] * model["dim"], "y": [1.0] + [0.0] * (model["dim"] - 1)},
+            "output": {"dir": "rejected"},
+        }
+
+    def galerkin_config(observable, x):
+        return {
+            "schema": "subharnack/1",
+            "experiment": "galerkin-check",
+            "clock": {"type": "stable", "theta": 0.75},
+            "grid": {"horizon": 1.0, "steps": 20},
+            "galerkin": {"dims": [2, 4]},
+            "observable": observable,
+            "points": {"x": x, "y": [1.0]},
+            "mc": {"n_paths": 2000, "seed": 0},
+            "output": {"dir": "rejected"},
+        }
+
+    moments = base_moments_config(out_dir="rejected")
+    moments["moments"] = {"k": 200, "t": 1}
+    return {
+        "exp_a-direction-too-short": (
+            path_config("certify-log", {"name": "exp_a", "direction": [1.0]}),
+            "exp_a direction must match the state dimension",
+        ),
+        "bump-coords-above-dim": (path_config("certify-log", {"name": "bump", "coords": 5}), "bump coords"),
+        "bump-with-direction": (
+            path_config("simulate", {"name": "bump", "direction": [1.0, 0.0]}), "bump takes only 'coords'",
+        ),
+        "coupling-bound-positive-K": (
+            path_config("certify-coupling-bound", {"name": "sin1"}, model={"name": "double_well", "dim": 1}),
+            "needs K <= 0; found K = 1",
+        ),
+        "coupling-bound-unbounded-f": (
+            path_config("certify-coupling-bound", {"name": "exp_a"}), "needs a bounded observable",
+        ),
+        "galerkin-non-cylinder-f": (galerkin_config({"name": "capnorm"}, [0.0]), "cylinder observable"),
+        "galerkin-x-beyond-cylinder": (
+            galerkin_config({"name": "sin1"}, [0.0, 0.0, 0.0]), "initial points must live in the cylinder",
+        ),
+        "moment-order-200": (moments, "moment order k must stay below 170"),
+    }
+
+
+class TestExitCodeFollowsExceptionType:
+    @pytest.mark.parametrize("case", list(rejected_input_configs()))
+    def test_rejected_input_is_config_error(self, tmp_path, capsys, case):
+        # each of these exited 70 as a numeric failure, though no path had run
+        config, message = rejected_input_configs()[case]
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+        assert not (tmp_path / "rejected").exists()
+
+    def test_malformed_worker_count_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # read outside both handlers, it ended in a traceback
+        monkeypatch.setenv("SUBHARNACK_WORKERS", "abc")
+        assert cli.run_config(base_moments_config(), base_dir=tmp_path) == 64
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: SUBHARNACK_WORKERS must be an integer, got 'abc'"]
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_length_velocity_is_config_error(self, tmp_path, capsys):
+        config = rejected_input_configs()["bump-with-direction"][0]
+        config["observable"] = {"name": "sin1"}
+        config["model"]["perturbation"] = {"kind": "ramp", "velocity": [1.0]}
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "perturbation V_t must have shape (2,)" in err
+
+    def test_galerkin_check_with_exp_a(self, tmp_path, capsys):
+        # exp_a built for min(dims) coordinates met the wider levels' states
+        # in a matmul and exited 70
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "galerkin-check",
+            "clock": {"type": "linear"},
+            "grid": {"horizon": 1.0, "steps": 20},
+            "galerkin": {"dims": [2, 4, 8]},
+            "observable": {"name": "exp_a"},
+            "points": {"x": [0.0], "y": [1.0]},
+            "mc": {"n_paths": 2000, "seed": 0},
+            "output": {"dir": "gal"},
+        }
+        assert cli.run_config(config, base_dir=tmp_path) == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "gal" / "report.json").read_text())
+        assert [r["verdict"] for r in report["reports"]] == ["certified"] * 3
+
+    def test_rounded_coupling_clock_is_numeric_failure(self, tmp_path, capsys):
+        # a library check on a computed clock, not on the config
+        config = {
+            "schema": "subharnack/1",
+            "experiment": "couple",
+            "model": {"name": "ou", "dim": 1},
+            "clock": {"type": "stable", "theta": 0.2},
+            "grid": {"horizon": 1.0, "steps": 50},
+            "mc": {"n_paths": 2000, "seed": 0},
+            "points": {"x": [1.0], "y": [0.0]},
+            "output": {"dir": "couple"},
+        }
+        assert cli.run_config(config, base_dir=tmp_path) == 70
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure in couple: the regularized clock")
+        assert not (tmp_path / "couple").exists()
+
+    def test_moments_needs_no_mc_block(self, tmp_path):
+        config = base_moments_config()
+        del config["mc"]
+        assert cli.run_config(config, base_dir=tmp_path) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["value"] == pytest.approx(0.5, abs=1e-9) and "seed" not in report
+
+    def test_path_experiment_needs_its_mc_block(self, tmp_path, capsys):
+        config = rejected_input_configs()["bump-with-direction"][0]
+        del config["mc"]
+        assert cli.run_config(config, base_dir=tmp_path) == 64
+        assert capsys.readouterr().err.strip() == "config error: experiment 'simulate' needs config block(s): mc"
+
+
 class TestReproducibility:
     def test_reports_identical_across_worker_counts(self, tmp_path, two_cpus):
         config = sharp_config(n_paths=10_000, out_dir="a")

@@ -63,6 +63,21 @@ class TestSemilinearModel:
                 sigma_diag=np.eye(2),
             )
 
+    def test_perturbation_of_another_dimension_is_rejected(self):
+        with pytest.raises(ValueError, match="perturbation dimension 3 does not match the mode count 2"):
+            gk.SemilinearModel(
+                spectrum=gk.SpectrumModel.from_power_law(2, 1.0),
+                force=lambda t, x: np.zeros_like(x),
+                force_lipschitz=lambda t: 0.0,
+                sigma_diag=1.0,
+                perturbation=sde.PerturbationModel.zero(3),
+            )
+
+    def test_exp_a_reads_its_own_coordinates_of_wider_states(self):
+        # the observable of the lowest level meets the states of every level
+        z = np.random.default_rng(5).standard_normal((50, 4))
+        np.testing.assert_array_equal(get_observable("exp_a", 2)(z), np.exp(z[:, 0]))
+
     def test_zero_sigma_entry_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
             gk.SemilinearModel(

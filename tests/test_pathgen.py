@@ -295,6 +295,22 @@ class TestBlockedClock:
             assert np.array_equal(got, ref)
             assert np.array_equal(pg.regularized_values(self.GRID.times, comb_times, values, 0.05), ref)
 
+    def test_extension_reaches_the_window_end_at_a_large_horizon(self):
+        # at T = 1e4 the knot T + 2 h rounded 3.6e-12 short of T + epsilon
+        # and the coupling clock raised "path does not reach the horizon"
+        grid = pg.TimeGrid.uniform(1e4, 3)
+        law = pg.ClockLaw(bn.GammaBernstein(4.0, 4.0), epsilon=2e4 / 3)
+        assert law._extended_times(grid)[-1] >= grid.times[-1] + law.epsilon - 1e-12
+        clock = law.sample_coupling(grid, pg.RngStream(131, purpose="long").generator(), 16)
+        assert np.all(np.diff(clock, axis=1) > 0)
+
+    def test_clock_that_rounding_flattens_is_a_floating_point_error(self):
+        # theta = 0.1 clocks reach 1e27 here: the slope floor epsilon * h is
+        # lost in their rounding, and the clock stops increasing on some rows
+        law = pg.ClockLaw(bn.StableBernstein(0.1), epsilon=0.05)
+        with pytest.raises(FloatingPointError, match="lost its strict increase to rounding"):
+            law.sample_coupling(pg.TimeGrid.uniform(1.0, 20), pg.RngStream(132, purpose="flat").generator(), 1000)
+
     def test_raw_clock_equals_whole_array_cumsum(self):
         law = pg.ClockLaw(bn.GammaBernstein(4.0, 4.0))
         for n in self.sizes():

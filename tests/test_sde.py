@@ -151,6 +151,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="V_0 = 0"):
             sde.PerturbationModel.from_function(lambda t: np.array([1.0 + t]), 1)
 
+    @pytest.mark.parametrize("value", [np.ones(1), np.ones(3), 1.0], ids=["short", "long", "scalar"])
+    def test_perturbation_must_have_the_model_shape(self, value):
+        # a 1-coordinate ramp on a 2-D model was added to both coordinates
+        with pytest.raises(ValueError, match=r"must have shape \(2,\)"):
+            sde.PerturbationModel.from_function(lambda t: value * t, 2)
+
 
 class TestMakeModel:
     @pytest.mark.parametrize(
@@ -165,6 +171,11 @@ class TestMakeModel:
     def test_parameter_the_model_does_not_read_is_rejected(self, name, dim, params, unread):
         with pytest.raises(ValueError, match=f"does not take the parameters \\['{unread}'\\]"):
             sde.make_model(name, dim=dim, **params)
+
+    def test_perturbation_of_another_dimension_is_rejected(self):
+        ramp = sde.PerturbationModel.from_function(lambda t: np.array([0.5 * t, 0.0, 0.0]), 3)
+        with pytest.raises(ValueError, match="perturbation dimension 3 does not match the model dimension 2"):
+            sde.make_model("ou", dim=2, perturbation=ramp)
 
     def test_params_hold_only_what_the_model_reads(self):
         assert sde.make_model("ou", dim=1, rate=2).params == {"sigma_scale": 1.0, "rate": 2.0}
